@@ -250,6 +250,10 @@ def export_json(model: BuildingModel, config: dict | None = None,
 
 def import_json(doc: dict) -> BuildingModel:
     """Rebuild a BuildingModel from an export_json document."""
+    if not isinstance(doc, dict):
+        raise LayoutError(
+            f"building document must be a JSON object, not "
+            f"{type(doc).__name__}")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise LayoutError(f"unsupported schema_version {version!r}")
@@ -267,6 +271,9 @@ def import_json(doc: dict) -> BuildingModel:
             raise LayoutError(
                 f"voxel array has {len(blocks)} entries, "
                 f"expected {w * d * levels}")
+        if blocks and min(blocks) < 0:
+            raise LayoutError(
+                f"negative palette index {min(blocks)} in voxels.blocks")
         voxels = [[[AIR] * d for _ in range(levels)] for _ in range(w)]
         i = 0
         for x in range(w):

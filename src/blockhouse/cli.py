@@ -155,7 +155,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         model = import_json(json.loads(text))
         print(render_ascii(model.plan))
     else:

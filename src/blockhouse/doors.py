@@ -36,8 +36,8 @@ DEFAULT_WALL_RULE = "any"
 
 # "sweep" visits the walls present when door placement starts, once, in
 # random order, placing a door wherever the tile is legal at visit time.
-# "saturate" keeps recomputing the full legal set and placing until no
-# site is left; it yields noticeably denser doors (see README).
+# "saturate" keeps drawing from the full set of sites legal at that moment
+# until no site is left; it yields noticeably denser doors (see README).
 DOOR_MODES = ("sweep", "saturate")
 DEFAULT_DOOR_MODE = "sweep"
 
@@ -102,23 +102,29 @@ def _has_wall_neighbor(grid: FloorGrid, x: int, z: int, wall_rule: str) -> bool:
     return False
 
 
+def _tile_sites(grid: FloorGrid, x: int, z: int,
+                wall_rule: str) -> list[DoorSite]:
+    # Current-state legality of one tile: its legal sites, x axis first.
+    if grid.get(x, z) != INTERIOR_WALL:
+        return []
+    if not _has_wall_neighbor(grid, x, z, wall_rule):
+        return []
+    sites = []
+    for axis, (a, b) in (("x", ((x - 1, z), (x + 1, z))),
+                         ("z", ((x, z - 1), (x, z + 1)))):
+        ta, tb = grid.get(*a), grid.get(*b)
+        if _joinable(ta, tb):
+            sites.append(DoorSite((x, z), axis, (ta, tb)))
+    return sites
+
+
 def legal_door_sites(grid: FloorGrid,
                      wall_rule: str = DEFAULT_WALL_RULE) -> set[DoorSite]:
     """All (wall tile, axis) pairs where a door may go right now."""
     if wall_rule not in WALL_RULES:
         raise ValueError(f"unknown wall rule {wall_rule!r}")
-    sites: set[DoorSite] = set()
-    for x, z in grid.interior():
-        if grid.get(x, z) != INTERIOR_WALL:
-            continue
-        if not _has_wall_neighbor(grid, x, z, wall_rule):
-            continue
-        for axis, (a, b) in (("x", ((x - 1, z), (x + 1, z))),
-                             ("z", ((x, z - 1), (x, z + 1)))):
-            ta, tb = grid.get(*a), grid.get(*b)
-            if _joinable(ta, tb):
-                sites.add(DoorSite((x, z), axis, (ta, tb)))
-    return sites
+    return {site for x, z in grid.interior()
+            for site in _tile_sites(grid, x, z, wall_rule)}
 
 
 def apply_door(grid: FloorGrid, site: DoorSite,
@@ -147,18 +153,9 @@ def _room_map(rooms: Iterable[Room] | None) -> dict[int, Room] | None:
 
 def _site_at(grid: FloorGrid, x: int, z: int, wall_rule: str,
              rng: random.Random) -> DoorSite | None:
-    # Current-state legality of one tile; picks an axis at random on the
-    # rare cross-shaped tile where both axes qualify.
-    if grid.get(x, z) != INTERIOR_WALL:
-        return None
-    if not _has_wall_neighbor(grid, x, z, wall_rule):
-        return None
-    options = []
-    for axis, (a, b) in (("x", ((x - 1, z), (x + 1, z))),
-                         ("z", ((x, z - 1), (x, z + 1)))):
-        ta, tb = grid.get(*a), grid.get(*b)
-        if _joinable(ta, tb):
-            options.append(DoorSite((x, z), axis, (ta, tb)))
+    # Picks an axis at random on the rare cross-shaped tile where both
+    # axes qualify.
+    options = _tile_sites(grid, x, z, wall_rule)
     if not options:
         return None
     return options[0] if len(options) == 1 else rng.choice(options)
@@ -193,13 +190,28 @@ def place_doors(grid: FloorGrid, rng: random.Random,
                 apply_door(grid, site, room_map)
                 placed.append(site)
         return placed
-    while True:
-        sites = legal_door_sites(grid, wall_rule)
-        if not sites:
-            return placed
-        site = rng.choice(sorted(sites))
+    # Every legal site keyed by (position, axis), which sorts the same
+    # way as the sites themselves. A door changes only its own tile and
+    # its flanks, so only those and their neighbors can change legality.
+    sites: dict[tuple[Coord, str], DoorSite] = {}
+
+    def refresh(x: int, z: int) -> None:
+        sites.pop(((x, z), "x"), None)
+        sites.pop(((x, z), "z"), None)
+        for site in _tile_sites(grid, x, z, wall_rule):
+            sites[site.position, site.axis] = site
+
+    for x, z in grid.interior():
+        refresh(x, z)
+    while sites:
+        site = sites[rng.choice(sorted(sites))]
         apply_door(grid, site, room_map)
         placed.append(site)
+        changed = (site.position, *site.flanks())
+        for pos in set(changed).union(
+                *(grid.neighbors4(*c) for c in changed)):
+            refresh(*pos)
+    return placed
 
 
 def place_exterior_door(grid: FloorGrid, rng: random.Random) -> Coord:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .doors import ConnectivityReport
@@ -166,6 +165,9 @@ def run_batch(config: RunConfig, n: int, master_seed: int,
         per_building = [_measure_one(config, master_seed, i)
                         for i in range(n)]
     else:
+        # Imported here: the pool pulls in multiprocessing, pickle and
+        # socket, which a single-worker run never needs.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_building = list(pool.map(
                 _measure_one, [config] * n, [master_seed] * n, range(n),

@@ -99,6 +99,13 @@ def place_rooms(grid: FloorGrid, count: int, rng: random.Random,
     return rooms
 
 
+def _other_rooms(grid: FloorGrid, x: int, z: int, room_id: int) -> list[int]:
+    # Rooms other than room_id orthogonally adjacent to (x, z); any one of
+    # them bars room_id from claiming the tile.
+    return [t for mx, mz in grid.neighbors4(x, z)
+            if is_room(t := grid.get(mx, mz)) and t != room_id]
+
+
 def growth_candidates(grid: FloorGrid, room: Room) -> set[Coord]:
     """Empty tiles the room may claim this turn: orthogonally adjacent to
     the room, not orthogonally adjacent to any other room, and never a
@@ -106,37 +113,53 @@ def growth_candidates(grid: FloorGrid, room: Room) -> set[Coord]:
     out: set[Coord] = set()
     for x, z in room.tiles:
         for nx, nz in grid.neighbors4(x, z):
-            if (nx, nz) in out or grid.get(nx, nz) != EMPTY:
-                continue
-            blocked = False
-            for mx, mz in grid.neighbors4(nx, nz):
-                t = grid.get(mx, mz)
-                if is_room(t) and t != room.id:
-                    blocked = True
-                    break
-            if not blocked:
+            if ((nx, nz) not in out and grid.get(nx, nz) == EMPTY
+                    and not _other_rooms(grid, nx, nz, room.id)):
                 out.add((nx, nz))
     return out
 
 
-def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random) -> int:
+def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random,
+                frontiers: dict[int, set[Coord]] | None = None) -> int:
     """One full round of turns: shuffle the order, then let each room claim
-    one candidate tile. Returns how many tiles were claimed."""
+    one candidate tile. Returns how many tiles were claimed.
+
+    frontiers maps each room id to its `growth_candidates` and is kept up
+    to date claim by claim; when omitted, it is built for this pass.
+    """
+    if frontiers is None:
+        frontiers = {room.id: growth_candidates(grid, room) for room in rooms}
     order = list(rooms)
     rng.shuffle(order)
     claimed = 0
     for room in order:
-        candidates = growth_candidates(grid, room)
+        candidates = frontiers[room.id]
         if not candidates:
             continue  # skipped, not removed; it may simply be walled in
         x, z = rng.choice(sorted(candidates))
         grid.put(x, z, room.id)
         room.tiles.add((x, z))
         claimed += 1
+        # Only this room could have had (x, z) as a candidate, since it
+        # touched no other room. Its empty neighbors now touch this room:
+        # they leave the other rooms' frontiers and join this one unless
+        # another room bars them. Growth never empties a tile, so a barred
+        # tile stays barred and no other frontier can change.
+        candidates.discard((x, z))
+        for nx, nz in grid.neighbors4(x, z):
+            if grid.get(nx, nz) != EMPTY:
+                continue
+            others = _other_rooms(grid, nx, nz, room.id)
+            for other in others:
+                if other in frontiers:
+                    frontiers[other].discard((nx, nz))
+            if not others:
+                candidates.add((nx, nz))
     return claimed
 
 
 def grow_rooms(grid: FloorGrid, rooms: list[Room], rng: random.Random) -> None:
     """Run growth passes until an entire pass claims nothing."""
-    while rooms and growth_pass(grid, rooms, rng):
+    frontiers = {room.id: growth_candidates(grid, room) for room in rooms}
+    while rooms and growth_pass(grid, rooms, rng, frontiers):
         pass

@@ -268,6 +268,20 @@ def test_import_rejects_malformed_documents():
         import_json(doc)
 
 
+def test_import_rejects_negative_palette_index():
+    # A negative index would wrap around to the end of the palette.
+    doc = export_json(_small_model())
+    doc["voxels"]["blocks"][5] = -1
+    with pytest.raises(LayoutError, match="negative palette index -1"):
+        import_json(doc)
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "text", 3, None])
+def test_import_rejects_documents_that_are_not_objects(doc):
+    with pytest.raises(LayoutError, match="must be a JSON object"):
+        import_json(doc)
+
+
 def test_write_json_round_trips_through_disk(tmp_path):
     model = _small_model()
     path = tmp_path / "building.json"

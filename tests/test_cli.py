@@ -198,6 +198,17 @@ def test_render_rejects_bad_inputs(capsys, tmp_path):
     assert "schema_version" in err
 
 
+@pytest.mark.parametrize("text", ["[1,2]", " [1, 2]\n", "[nope"])
+def test_render_rejects_json_that_is_not_an_object(capsys, tmp_path, text):
+    path = tmp_path / "array.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, "render", str(path))
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("parse error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_render_rejects_invalid_layouts(capsys, tmp_path):
     # Two entrances parse fine but fail plan validation.
     path = tmp_path / "twodoors.txt"
