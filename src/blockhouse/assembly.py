@@ -127,10 +127,10 @@ def assemble(plan: FloorGrid, facades: dict[str, WallMatrix],
             voxels[x][0][z] = FLOOR_SLAB
             voxels[x][levels - 1][z] = ROOF_SLAB
 
-    for x, z in plan.coords():
-        t = plan.get(x, z)
+    for i, t in enumerate(plan.cells):
         if is_room(t) or t == EMPTY:
             continue  # columns start as air
+        x, z = divmod(i, d)
         for y in range(1, height + 1):
             if t == DOOR and y <= 2:
                 voxels[x][y][z] = DOOR_OPENING
@@ -178,11 +178,9 @@ def tile_char(tile: int) -> str:
 
 def render_ascii(plan: FloorGrid) -> str:
     """One text line per depth row; x increases left to right."""
-    lines = []
-    for z in range(plan.depth):
-        lines.append("".join(tile_char(plan.get(x, z))
-                             for x in range(plan.width)))
-    return "\n".join(lines)
+    cells, d = plan.cells, plan.depth
+    return "\n".join("".join(tile_char(t) for t in cells[z::d])
+                     for z in range(d))
 
 
 def parse_ascii(text: str) -> FloorGrid:
@@ -196,13 +194,15 @@ def parse_ascii(text: str) -> FloorGrid:
         if len(line) != width:
             raise LayoutError(
                 f"row {z} has {len(line)} characters, expected {width}")
-    grid = FloorGrid(width, len(lines))
+    depth = len(lines)
+    grid = FloorGrid(width, depth)
+    cells = grid.cells
     for z, line in enumerate(lines):
         for x, ch in enumerate(line):
             if ch in _CHAR_TILES:
-                grid.put(x, z, _CHAR_TILES[ch])
+                cells[x * depth + z] = _CHAR_TILES[ch]
             elif ch in ROOM_SYMBOLS:
-                grid.put(x, z, ROOM_SYMBOLS.index(ch))
+                cells[x * depth + z] = ROOM_SYMBOLS.index(ch)
             else:
                 raise LayoutError(
                     f"unknown character {ch!r} at row {z}, column {x}")

@@ -14,6 +14,7 @@ import secrets
 import sys
 
 from .assembly import (
+    ROOM_SYMBOLS,
     LayoutError,
     export_json,
     import_json,
@@ -105,6 +106,13 @@ def _resolve_seed(config: RunConfig, label: str) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    # generate always renders the plan, and only so many rooms have a
+    # symbol; batch renders nothing and takes any count.
+    rooms = config.room_policy.count_for(config.width, config.depth)
+    if rooms > len(ROOM_SYMBOLS):
+        raise ValueError(
+            f"{rooms} rooms cannot be rendered; generate supports at most "
+            f"{len(ROOM_SYMBOLS)}")
     seed = _resolve_seed(config, "seed")
     config = config.with_seed(seed)
     try:

@@ -79,9 +79,10 @@ class DoorSite:
 
 def wallify_leftovers(grid: FloorGrid) -> None:
     """Turn every interior tile the growth stage left empty into wall."""
-    for x, z in grid.interior():
-        if grid.get(x, z) == EMPTY:
-            grid.put(x, z, INTERIOR_WALL)
+    cells = grid.cells
+    for i in grid.interior_indices():
+        if cells[i] == EMPTY:
+            cells[i] = INTERIOR_WALL
 
 
 def _joinable(a: int, b: int) -> bool:
@@ -92,29 +93,28 @@ def _joinable(a: int, b: int) -> bool:
     return a == DOOR or b == DOOR or a != b
 
 
-def _has_wall_neighbor(grid: FloorGrid, x: int, z: int, wall_rule: str) -> bool:
-    for nx, nz in grid.neighbors4(x, z):
-        t = grid.get(nx, nz)
-        if t == INTERIOR_WALL:
-            return True
-        if wall_rule == "any" and t == EXTERIOR_WALL:
-            return True
-    return False
+def _axis_pairs(i: int, depth: int) -> tuple[tuple[str, int, int], ...]:
+    # The two tiles a door at interior index i would join, per axis, x
+    # axis first.
+    return (("x", i - depth, i + depth), ("z", i - 1, i + 1))
 
 
-def _tile_sites(grid: FloorGrid, x: int, z: int,
-                wall_rule: str) -> list[DoorSite]:
-    # Current-state legality of one tile: its legal sites, x axis first.
-    if grid.get(x, z) != INTERIOR_WALL:
+def _tile_sites(grid: FloorGrid, i: int, wall_rule: str) -> list[DoorSite]:
+    # Current-state legality of the interior tile at flat index i: its
+    # legal sites, x axis first. A site needs a wall among the four
+    # neighbors ("any" counts the border ring as wall).
+    cells, d = grid.cells, grid.depth
+    if cells[i] != INTERIOR_WALL:
         return []
-    if not _has_wall_neighbor(grid, x, z, wall_rule):
+    around = (cells[i + d], cells[i - d], cells[i + 1], cells[i - 1])
+    if INTERIOR_WALL not in around and (
+            wall_rule != "any" or EXTERIOR_WALL not in around):
         return []
     sites = []
-    for axis, (a, b) in (("x", ((x - 1, z), (x + 1, z))),
-                         ("z", ((x, z - 1), (x, z + 1)))):
-        ta, tb = grid.get(*a), grid.get(*b)
+    for axis, a, b in _axis_pairs(i, d):
+        ta, tb = cells[a], cells[b]
         if _joinable(ta, tb):
-            sites.append(DoorSite((x, z), axis, (ta, tb)))
+            sites.append(DoorSite(divmod(i, d), axis, (ta, tb)))
     return sites
 
 
@@ -123,8 +123,8 @@ def legal_door_sites(grid: FloorGrid,
     """All (wall tile, axis) pairs where a door may go right now."""
     if wall_rule not in WALL_RULES:
         raise ValueError(f"unknown wall rule {wall_rule!r}")
-    return {site for x, z in grid.interior()
-            for site in _tile_sites(grid, x, z, wall_rule)}
+    return {site for i in grid.interior_indices()
+            for site in _tile_sites(grid, i, wall_rule)}
 
 
 def apply_door(grid: FloorGrid, site: DoorSite,
@@ -151,11 +151,11 @@ def _room_map(rooms: Iterable[Room] | None) -> dict[int, Room] | None:
     return {room.id: room for room in rooms}
 
 
-def _site_at(grid: FloorGrid, x: int, z: int, wall_rule: str,
+def _site_at(grid: FloorGrid, i: int, wall_rule: str,
              rng: random.Random) -> DoorSite | None:
     # Picks an axis at random on the rare cross-shaped tile where both
     # axes qualify.
-    options = _tile_sites(grid, x, z, wall_rule)
+    options = _tile_sites(grid, i, wall_rule)
     if not options:
         return None
     return options[0] if len(options) == 1 else rng.choice(options)
@@ -179,38 +179,43 @@ def place_doors(grid: FloorGrid, rng: random.Random,
     if wall_rule not in WALL_RULES:
         raise ValueError(f"unknown wall rule {wall_rule!r}")
     room_map = _room_map(rooms)
+    cells, d = grid.cells, grid.depth
     placed: list[DoorSite] = []
     if mode == "sweep":
-        tiles = [pos for pos in grid.interior()
-                 if grid.get(*pos) == INTERIOR_WALL]
+        tiles = [i for i in grid.interior_indices()
+                 if cells[i] == INTERIOR_WALL]
         rng.shuffle(tiles)
-        for x, z in tiles:
-            site = _site_at(grid, x, z, wall_rule, rng)
+        for i in tiles:
+            site = _site_at(grid, i, wall_rule, rng)
             if site is not None:
                 apply_door(grid, site, room_map)
                 placed.append(site)
         return placed
-    # Every legal site keyed by (position, axis), which sorts the same
-    # way as the sites themselves. A door changes only its own tile and
-    # its flanks, so only those and their neighbors can change legality.
-    sites: dict[tuple[Coord, str], DoorSite] = {}
+    # Every legal site keyed by 2 * index + (axis == "z"), which sorts the
+    # same way as the sites themselves. A door changes only its own tile
+    # and its flanks, so only those and their neighbors can change
+    # legality; of those, only interior tiles can hold a site.
+    sites: dict[int, DoorSite] = {}
+    inside = set(grid.interior_indices())
 
-    def refresh(x: int, z: int) -> None:
-        sites.pop(((x, z), "x"), None)
-        sites.pop(((x, z), "z"), None)
-        for site in _tile_sites(grid, x, z, wall_rule):
-            sites[site.position, site.axis] = site
+    def refresh(i: int) -> None:
+        sites.pop(2 * i, None)
+        sites.pop(2 * i + 1, None)
+        for site in _tile_sites(grid, i, wall_rule):
+            sites[2 * i + (site.axis == "z")] = site
 
-    for x, z in grid.interior():
-        refresh(x, z)
+    for i in inside:
+        refresh(i)
     while sites:
-        site = sites[rng.choice(sorted(sites))]
+        key = rng.choice(sorted(sites))
+        site = sites[key]
         apply_door(grid, site, room_map)
         placed.append(site)
-        changed = (site.position, *site.flanks())
-        for pos in set(changed).union(
-                *(grid.neighbors4(*c) for c in changed)):
-            refresh(*pos)
+        i = key >> 1
+        changed = (i, i - 1, i + 1) if site.axis == "x" else (i, i - d, i + d)
+        for j in {n for c in changed for n in (c, c - d, c + d, c - 1, c + 1)}:
+            if j in inside:
+                refresh(j)
     return placed
 
 
@@ -220,12 +225,15 @@ def place_exterior_door(grid: FloorGrid, rng: random.Random) -> Coord:
     Candidates are non-corner border tiles whose single interior neighbor
     is a room tile; corners have no interior neighbor and never qualify.
     """
-    candidates = []
-    for x, z in grid.border():
-        inner = [(nx, nz) for nx, nz in grid.neighbors4(x, z)
-                 if not grid.is_border(nx, nz)]
-        if len(inner) == 1 and is_room(grid.get(*inner[0])):
-            candidates.append((x, z))
+    cells, d = grid.cells, grid.depth
+    last = len(cells) - d
+    # (border tile, the interior tile behind it), in border() order.
+    behind = [(j, j + d) for j in range(1, d - 1)]
+    for j in range(d, last, d):
+        behind += ((j, j + 1), (j + d - 1, j + d - 2))
+    behind += [(j, j - d) for j in range(last + 1, last + d - 1)]
+    candidates = [divmod(j, d) for j, inner in behind
+                  if is_room(cells[inner])]
     if not candidates:
         raise EntranceError("no exterior wall tile has a room behind it")
     x, z = rng.choice(candidates)
@@ -245,29 +253,50 @@ class ConnectivityReport:
         return self.component_count <= 1
 
 
+def _components(grid: FloorGrid) -> list[list[int]]:
+    # Flat indices of each 4-connected group of passable tiles, largest
+    # first, ties broken by the smallest index. A group's first index is
+    # its smallest, since the scan starts every group there.
+    cells, w, d = grid.cells, grid.width, grid.depth
+    todo = [is_passable(t) for t in cells]  # passable and not yet reached
+    components = []
+    for start, pending in enumerate(todo):
+        if not pending:
+            continue
+        todo[start] = False
+        stack = [start]
+        comp = []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            x, z = divmod(i, d)
+            if 0 < x < w - 1 and 0 < z < d - 1:
+                around = (i + d, i - d, i + 1, i - 1)
+            else:  # border tiles: index arithmetic would wrap
+                around = [nx * d + nz for nx, nz in grid.neighbors4(x, z)]
+            for n in around:
+                if todo[n]:
+                    todo[n] = False
+                    stack.append(n)
+        components.append(comp)
+    components.sort(key=lambda c: (-len(c), c[0]))
+    return components
+
+
+def _report(grid: FloorGrid, components: list[list[int]],
+            repairs_applied: int) -> ConnectivityReport:
+    d = grid.depth
+    return ConnectivityReport(
+        len(components),
+        tuple(frozenset([divmod(i, d) for i in comp]) for comp in components),
+        repairs_applied)
+
+
 def connected_components(grid: FloorGrid,
                          repairs_applied: int = 0) -> ConnectivityReport:
     """Group every passable tile (rooms, doors, entrance) into
     4-connected components, largest first."""
-    seen: set[Coord] = set()
-    components: list[frozenset[Coord]] = []
-    for start in grid.coords():
-        if start in seen or not is_passable(grid.get(*start)):
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = set()
-        while stack:
-            x, z = stack.pop()
-            comp.add((x, z))
-            for n in grid.neighbors4(x, z):
-                if n not in seen and is_passable(grid.get(*n)):
-                    seen.add(n)
-                    stack.append(n)
-        components.append(frozenset(comp))
-    components.sort(key=lambda c: (-len(c), min(c)))
-    return ConnectivityReport(len(components), tuple(components),
-                              repairs_applied)
+    return _report(grid, _components(grid), repairs_applied)
 
 
 def repair_connectivity(grid: FloorGrid, rng: random.Random,
@@ -280,28 +309,28 @@ def repair_connectivity(grid: FloorGrid, rng: random.Random,
     flank conversion. Fails if regions are sealed behind 2-thick walls.
     """
     room_map = _room_map(rooms)
+    cells, d = grid.cells, grid.depth
     repairs = 0
     while True:
-        report = connected_components(grid, repairs)
-        if report.component_count <= 1:
-            return report
-        comp_of: dict[Coord, int] = {}
-        for i, comp in enumerate(report.components):
-            for pos in comp:
-                comp_of[pos] = i
+        components = _components(grid)
+        if len(components) <= 1:
+            return _report(grid, components, repairs)
+        comp_of = [-1] * len(cells)
+        for k, comp in enumerate(components):
+            for i in comp:
+                comp_of[i] = k
         bridges: list[DoorSite] = []
-        for x, z in grid.interior():
-            if grid.get(x, z) != INTERIOR_WALL:
+        for i in grid.interior_indices():
+            if cells[i] != INTERIOR_WALL:
                 continue
-            for axis, (a, b) in (("x", ((x - 1, z), (x + 1, z))),
-                                 ("z", ((x, z - 1), (x, z + 1)))):
-                if (a in comp_of and b in comp_of
-                        and comp_of[a] != comp_of[b]):
+            for axis, a, b in _axis_pairs(i, d):
+                ca, cb = comp_of[a], comp_of[b]
+                if ca >= 0 and cb >= 0 and ca != cb:
                     bridges.append(
-                        DoorSite((x, z), axis, (grid.get(*a), grid.get(*b))))
+                        DoorSite(divmod(i, d), axis, (cells[a], cells[b])))
         if not bridges:
             raise RepairError(
-                f"{report.component_count} regions cannot be joined by a "
+                f"{len(components)} regions cannot be joined by a "
                 "single door anywhere")
         apply_door(grid, rng.choice(sorted(bridges)), room_map)
         repairs += 1

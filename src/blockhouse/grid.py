@@ -4,6 +4,19 @@ Coordinates are (x, z) pairs with x in [0, width) and z in [0, depth);
 the origin sits at one corner of the floor. Tiles are plain ints: any
 value >= 0 is a room tile carrying its room id, and the named states
 below are negative.
+
+A floor is stored as one flat list, `FloorGrid.cells`, with tile (x, z)
+at index `x * depth + z`. The four neighbours of index i are i - depth,
+i + depth, i - 1 and i + 1, and the indices sort exactly like their
+(x, z) pairs, so a draw from a sorted list of indices picks the same
+tile as a draw from the sorted coordinates. The exterior wall ring is
+the sentinel: every interior tile's neighbours lie inside the grid, so
+the plan stages read them without bounds checks. That arithmetic wraps
+between columns on the ring itself, so loops that may meet a border
+tile (flood fill, anything over a parsed or hand-built grid) keep to
+interior indices or bound by coordinates. `tiles` is a read-only
+`tiles[x][z]` snapshot for readers outside the package; writes to it do
+not reach the grid.
 """
 
 from __future__ import annotations
@@ -60,14 +73,18 @@ class FloorGrid:
                 f"depth {depth} is too small (minimum {MIN_DIMENSION})")
         self.width = width
         self.depth = depth
-        # tiles[x][z]
-        self.tiles = [[EMPTY] * depth for _ in range(width)]
-        for x in range(width):
-            self.tiles[x][0] = EXTERIOR_WALL
-            self.tiles[x][depth - 1] = EXTERIOR_WALL
-        for z in range(depth):
-            self.tiles[0][z] = EXTERIOR_WALL
-            self.tiles[width - 1][z] = EXTERIOR_WALL
+        cells = [EMPTY] * (width * depth)
+        cells[:depth] = [EXTERIOR_WALL] * depth
+        cells[-depth:] = [EXTERIOR_WALL] * depth
+        cells[::depth] = [EXTERIOR_WALL] * width
+        cells[depth - 1::depth] = [EXTERIOR_WALL] * width
+        self.cells = cells
+
+    @property
+    def tiles(self) -> list[list[int]]:
+        """A fresh tiles[x][z] copy of the floor."""
+        d = self.depth
+        return [self.cells[i:i + d] for i in range(0, len(self.cells), d)]
 
     def in_bounds(self, x: int, z: int) -> bool:
         return 0 <= x < self.width and 0 <= z < self.depth
@@ -78,12 +95,12 @@ class FloorGrid:
     def get(self, x: int, z: int) -> int:
         if not self.in_bounds(x, z):
             raise IndexError(f"position ({x}, {z}) is outside the grid")
-        return self.tiles[x][z]
+        return self.cells[x * self.depth + z]
 
     def put(self, x: int, z: int, tile: int) -> None:
         if not self.in_bounds(x, z):
             raise IndexError(f"position ({x}, {z}) is outside the grid")
-        self.tiles[x][z] = tile
+        self.cells[x * self.depth + z] = tile
 
     def neighbors4(self, x: int, z: int) -> list[Coord]:
         """In-bounds orthogonal neighbors of (x, z), never the position
@@ -107,20 +124,27 @@ class FloorGrid:
             for z in range(1, self.depth - 1):
                 yield (x, z)
 
+    def interior_indices(self) -> list[int]:
+        """Flat indices of the interior tiles, in `interior()` order."""
+        d = self.depth
+        return [i for column in range(d, len(self.cells) - d, d)
+                for i in range(column + 1, column + d - 1)]
+
     def border(self) -> Iterator[Coord]:
         for x, z in self.coords():
             if self.is_border(x, z):
                 yield (x, z)
 
     def count(self, tile: int) -> int:
-        return sum(column.count(tile) for column in self.tiles)
+        return self.cells.count(tile)
 
     def find(self, tile: int) -> list[Coord]:
-        return [(x, z) for x, z in self.coords() if self.tiles[x][z] == tile]
+        d = self.depth
+        return [divmod(i, d) for i, t in enumerate(self.cells) if t == tile]
 
     def room_ids(self) -> list[int]:
         """Sorted ids of the rooms that still occupy at least one tile."""
-        return sorted({t for column in self.tiles for t in column if t >= 0})
+        return sorted({t for t in self.cells if t >= 0})
 
     def entrance(self) -> Coord | None:
         doors = self.find(EXTERIOR_DOOR)
@@ -128,31 +152,33 @@ class FloorGrid:
 
     def copy(self) -> "FloorGrid":
         dup = FloorGrid(self.width, self.depth)
-        dup.tiles = [column[:] for column in self.tiles]
+        dup.cells = self.cells[:]
         return dup
 
     def validate(self) -> None:
         """Check the border/interior state partition, raising ValueError on
         the first violation. Cheap enough to run after every stage."""
+        cells, d = self.cells, self.depth
         entrances = 0
         for x, z in self.border():
-            t = self.tiles[x][z]
+            t = cells[x * d + z]
             if t == EXTERIOR_DOOR:
                 entrances += 1
             elif t != EXTERIOR_WALL:
                 raise ValueError(f"border tile ({x}, {z}) holds state {t}")
         if entrances > 1:
             raise ValueError(f"{entrances} entrances on the border, expected at most 1")
-        for x, z in self.interior():
-            t = self.tiles[x][z]
+        for i in self.interior_indices():
+            t = cells[i]
             if t < 0 and t not in (EMPTY, INTERIOR_WALL, DOOR):
+                x, z = divmod(i, d)
                 raise ValueError(f"interior tile ({x}, {z}) holds state {t}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FloorGrid):
             return NotImplemented
         return (self.width == other.width and self.depth == other.depth
-                and self.tiles == other.tiles)
+                and self.cells == other.cells)
 
     def __repr__(self) -> str:
         return f"FloorGrid({self.width}x{self.depth})"

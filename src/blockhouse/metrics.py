@@ -10,7 +10,6 @@ many.
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -92,6 +91,10 @@ class BatchSummary:
 def confidence_interval(samples: list[float]) -> tuple[float, float]:
     """Sample mean and its 95% half-width (normal approximation,
     sample standard deviation). A single sample has half-width 0."""
+    # Imported here: statistics pulls in fractions and decimal, which
+    # only a batch summary needs.
+    import statistics
+
     if not samples:
         raise ValueError("no samples to summarize")
     mean = statistics.fmean(samples)
@@ -119,9 +122,9 @@ def measure_building(plan: FloorGrid, report: ConnectivityReport,
     else:
         ids = list(range(max(requested_rooms,
                              max(surviving, default=-1) + 1)))
-    areas = tuple(sum(column.count(rid) for column in plan.tiles)
-                  for rid in ids)
-    avg = statistics.fmean(areas) if areas else 0.0
+    areas = tuple(plan.cells.count(rid) for rid in ids)
+    # What statistics.fmean computes, without importing it.
+    avg = math.fsum(areas) / len(areas) if areas else 0.0
     return BuildingMetrics(
         room_count=len(surviving),
         room_areas=areas,

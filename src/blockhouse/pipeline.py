@@ -113,7 +113,14 @@ class RunConfig:
         for key in ("width", "depth", "height", "seed", "max_attempts"):
             if key in data:
                 value = data.pop(key)
-                kwargs[key] = None if value is None else int(value)
+                # bool is an int subclass, and 7.9 or true must not pass
+                # as 7 or 1; only the seed may be null (drawn at random).
+                if type(value) is not int and (key != "seed"
+                                               or value is not None):
+                    raise ValueError(
+                        f"config key '{key}' must be an integer, "
+                        f"not {value!r}")
+                kwargs[key] = value
         if "door_walls" in data:
             kwargs["wall_rule"] = str(data.pop("door_walls"))
         if "door_mode" in data:

@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .grid import EMPTY, Coord, FloorGrid, is_room
+from .grid import EMPTY, Coord, FloorGrid
 
 DEFAULT_MAX_ATTEMPTS = 100
 
@@ -65,12 +65,14 @@ def room_count(width: int, depth: int) -> int:
 def _seed_fits(grid: FloorGrid, x: int, z: int) -> bool:
     # The 2x2 square at (x, z) must sit on empty tiles and must not touch
     # another room orthogonally. Diagonal contact is allowed.
-    for sx, sz in ((x, z), (x + 1, z), (x, z + 1), (x + 1, z + 1)):
-        if grid.get(sx, sz) != EMPTY:
+    cells, d = grid.cells, grid.depth
+    i = x * d + z
+    for s in (i, i + d, i + 1, i + d + 1):
+        if cells[s] != EMPTY:
             return False
-        for nx, nz in grid.neighbors4(sx, sz):
-            if is_room(grid.get(nx, nz)):
-                return False
+        if (cells[s - d] >= 0 or cells[s + d] >= 0
+                or cells[s - 1] >= 0 or cells[s + 1] >= 0):
+            return False
     return True
 
 
@@ -90,8 +92,8 @@ def place_rooms(grid: FloorGrid, count: int, rng: random.Random,
             if _seed_fits(grid, x, z):
                 square = {(x, z), (x + 1, z), (x, z + 1), (x + 1, z + 1)}
                 for sx, sz in square:
-                    grid.put(sx, sz, room_id)
-                rooms.append(Room(room_id, (x, z), set(square)))
+                    grid.cells[sx * grid.depth + sz] = room_id
+                rooms.append(Room(room_id, (x, z), square))
                 break
     if not rooms:
         raise PlacementError(
@@ -99,36 +101,39 @@ def place_rooms(grid: FloorGrid, count: int, rng: random.Random,
     return rooms
 
 
-def _other_rooms(grid: FloorGrid, x: int, z: int, room_id: int) -> list[int]:
-    # Rooms other than room_id orthogonally adjacent to (x, z); any one of
-    # them bars room_id from claiming the tile.
-    return [t for mx, mz in grid.neighbors4(x, z)
-            if is_room(t := grid.get(mx, mz)) and t != room_id]
+def _frontier(grid: FloorGrid, room: Room) -> set[int]:
+    # Flat indices of the room's growth candidates (see growth_candidates).
+    cells, d, rid = grid.cells, grid.depth, room.id
+    out: set[int] = set()
+    for x, z in room.tiles:
+        i = x * d + z
+        for n in (i + d, i - d, i + 1, i - 1):
+            if cells[n] == EMPTY and n not in out and not any(
+                    (t := cells[m]) >= 0 and t != rid
+                    for m in (n + d, n - d, n + 1, n - 1)):
+                out.add(n)
+    return out
 
 
 def growth_candidates(grid: FloorGrid, room: Room) -> set[Coord]:
     """Empty tiles the room may claim this turn: orthogonally adjacent to
     the room, not orthogonally adjacent to any other room, and never a
     border wall (border tiles are not empty, so they exclude themselves)."""
-    out: set[Coord] = set()
-    for x, z in room.tiles:
-        for nx, nz in grid.neighbors4(x, z):
-            if ((nx, nz) not in out and grid.get(nx, nz) == EMPTY
-                    and not _other_rooms(grid, nx, nz, room.id)):
-                out.add((nx, nz))
-    return out
+    return {divmod(i, grid.depth) for i in _frontier(grid, room)}
 
 
 def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random,
-                frontiers: dict[int, set[Coord]] | None = None) -> int:
+                frontiers: dict[int, set[int]] | None = None) -> int:
     """One full round of turns: shuffle the order, then let each room claim
     one candidate tile. Returns how many tiles were claimed.
 
-    frontiers maps each room id to its `growth_candidates` and is kept up
-    to date claim by claim; when omitted, it is built for this pass.
+    frontiers maps each room id to the flat indices (`x * depth + z`) of
+    its `growth_candidates` and is kept up to date claim by claim; when
+    omitted, it is built for this pass.
     """
     if frontiers is None:
-        frontiers = {room.id: growth_candidates(grid, room) for room in rooms}
+        frontiers = {room.id: _frontier(grid, room) for room in rooms}
+    cells, d = grid.cells, grid.depth
     order = list(rooms)
     rng.shuffle(order)
     claimed = 0
@@ -136,30 +141,34 @@ def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random,
         candidates = frontiers[room.id]
         if not candidates:
             continue  # skipped, not removed; it may simply be walled in
-        x, z = rng.choice(sorted(candidates))
-        grid.put(x, z, room.id)
-        room.tiles.add((x, z))
+        rid = room.id
+        i = rng.choice(sorted(candidates))
+        cells[i] = rid
+        room.tiles.add(divmod(i, d))
         claimed += 1
-        # Only this room could have had (x, z) as a candidate, since it
-        # touched no other room. Its empty neighbors now touch this room:
-        # they leave the other rooms' frontiers and join this one unless
+        # Only this room could have had i as a candidate, since it touched
+        # no other room. Its empty neighbors now touch this room: they
+        # leave the other rooms' frontiers and join this one unless
         # another room bars them. Growth never empties a tile, so a barred
         # tile stays barred and no other frontier can change.
-        candidates.discard((x, z))
-        for nx, nz in grid.neighbors4(x, z):
-            if grid.get(nx, nz) != EMPTY:
+        candidates.discard(i)
+        for n in (i + d, i - d, i + 1, i - 1):
+            if cells[n] != EMPTY:
                 continue
-            others = _other_rooms(grid, nx, nz, room.id)
-            for other in others:
-                if other in frontiers:
-                    frontiers[other].discard((nx, nz))
-            if not others:
-                candidates.add((nx, nz))
+            barred = False
+            for m in (n + d, n - d, n + 1, n - 1):
+                t = cells[m]
+                if t >= 0 and t != rid:
+                    barred = True
+                    if t in frontiers:
+                        frontiers[t].discard(n)
+            if not barred:
+                candidates.add(n)
     return claimed
 
 
 def grow_rooms(grid: FloorGrid, rooms: list[Room], rng: random.Random) -> None:
     """Run growth passes until an entire pass claims nothing."""
-    frontiers = {room.id: growth_candidates(grid, room) for room in rooms}
+    frontiers = {room.id: _frontier(grid, room) for room in rooms}
     while rooms and growth_pass(grid, rooms, rng, frontiers):
         pass

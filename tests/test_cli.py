@@ -254,6 +254,43 @@ def test_config_file_errors(capsys, tmp_path):
     assert rc == 4
 
 
+def test_config_file_rejects_non_integer_fields(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"width": 7.9, "depth": True}))
+    rc, out, err = run(capsys, "generate", "--config", str(config))
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "invalid configuration: config key 'width' must be an integer, "
+        "not 7.9"]
+    config.write_text(json.dumps({"width": 7, "depth": True}))
+    rc, _, err = run(capsys, "generate", "--config", str(config))
+    assert rc == 2
+    assert "'depth' must be an integer" in err
+
+
+def test_generate_rejects_more_rooms_than_symbols(capsys, monkeypatch):
+    def never(config, seed):
+        raise AssertionError("generated a building it cannot render")
+
+    monkeypatch.setattr("blockhouse.cli.generate_building", never)
+    for fmt in ("ascii", "json"):
+        rc, out, err = run(capsys, "generate", "--width", "30", "--depth",
+                           "30", "--rooms", "explicit:45", "--format", fmt)
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "invalid configuration: 45 rooms cannot be rendered; generate "
+            "supports at most 36"]
+
+
+def test_batch_takes_more_rooms_than_symbols(capsys):
+    rc, out, _ = run(capsys, "batch", "--width", "30", "--depth", "30",
+                     "--rooms", "explicit:45", "-n", "1", "--seed", "1")
+    assert rc == 0
+    assert "buildings" in out
+
+
 def test_door_flags_reach_the_pipeline(capsys):
     base = run(capsys, *GEN77)[1]
     saturated = run(capsys, *GEN77, "--door-mode", "saturate")[1]

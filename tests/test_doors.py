@@ -311,6 +311,16 @@ def test_components_ordered_largest_first():
     tied = connected_components(tie)
     assert [min(c) for c in tied.components] == sorted(
         min(c) for c in tied.components)
+    # PLAN_SEALED's rooms differ in size; these two do not.
+    even = connected_components(parse_ascii("""\
+#######
+#11*00#
+#11*00#
+#*****#
+#######
+"""))
+    assert [sorted(c) for c in even.components] == [
+        [(1, 1), (1, 2), (2, 1), (2, 2)], [(4, 1), (4, 2), (5, 1), (5, 2)]]
 
 
 def test_report_connected_property():

@@ -4,15 +4,23 @@ For each configuration below, the rendered plan, the placed doors in
 order, the facade rows and the exported voxel block of a fixed run of
 seeds are hashed into one digest and compared with a constant. Any
 change to what the generator builds, however small, changes a digest.
+A second digest per configuration pins the plan-stage artifacts the
+first one does not see: each room's anchor and final tile set, the
+component count before repair, the repairs applied and the components
+of the final connectivity report, in order. Two non-square floors make
+sure a transposed tile layout cannot pass.
 
-The constants were recorded from the code before the growth frontier
-and the saturate door-site map became incremental, so they also prove
-that those optimisations changed no building. Re-record them only in a
+The first six building constants were recorded from the code before the
+growth frontier and the saturate door-site map became incremental; the
+artifact constants and the non-square configurations were recorded
+before the floor became one flat tile list. So they also prove that
+those optimisations changed no building. Re-record them only in a
 change that is meant to alter the generated buildings, and say so in it:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import functools
 import hashlib
 import json
 
@@ -48,6 +56,11 @@ CONFIGS = {
         RunConfig(width=20, depth=20, height=4,
                   room_policy=RoomCountPolicy(20), door_mode="saturate",
                   wall_rule="interior"), 12),
+    "31x17 formula sweep": (
+        RunConfig(width=31, depth=17, height=4), 16),
+    "17x31 explicit:12 saturate": (
+        RunConfig(width=17, depth=31, height=4,
+                  room_policy=RoomCountPolicy(12), door_mode="saturate"), 12),
 }
 
 GOLDEN = {
@@ -57,6 +70,19 @@ GOLDEN = {
     "24x24 formula sweep": "c43459a6e162739dc249201ed15f4674",
     "20x20 explicit:20 saturate any": "d6866bf921b56bbd7fc315643fadf368",
     "20x20 explicit:20 saturate interior": "7a706d93e4d8ac5a55d93fe3be752775",
+    "31x17 formula sweep": "a7a2aeb09cff1ed6efa97016ef4fb8e4",
+    "17x31 explicit:12 saturate": "bb436367b9b4fd07e5601d980235390a",
+}
+
+GOLDEN_ARTIFACTS = {
+    "7x7 explicit:3 sweep": "6f752cd77cdcdf62ed619e8a3365d1dd",
+    "6x12 explicit:3 sweep": "fcc842f004b3f6c713cf9e0f14e5898b",
+    "15x15 explicit:5 sweep": "facac48f3c04086124cc035afc729043",
+    "24x24 formula sweep": "0a35d1fba032feb6972b4cef3b14dd63",
+    "20x20 explicit:20 saturate any": "628a2bec4f524ef6fcb08cab32d8930f",
+    "20x20 explicit:20 saturate interior": "5805971b56b76287ad324b09e1c2dad5",
+    "31x17 formula sweep": "0a8ffd610553744ca281a391f0f0593e",
+    "17x31 explicit:12 saturate": "a10c2a628cef30d68822475f73371ee7",
 }
 
 
@@ -72,21 +98,46 @@ def building_parts(result) -> list[str]:
     return parts
 
 
-def config_digest(config: RunConfig, seeds: int) -> str:
-    h = hashlib.blake2b(digest_size=16)
+def artifact_parts(result) -> list[str]:
+    parts = [f"{room.id}@{room.anchor[0]},{room.anchor[1]}:" + ";".join(
+        f"{x},{z}" for x, z in sorted(room.tiles)) for room in result.rooms]
+    parts.append(f"pre {result.pre_repair_components} "
+                 f"repairs {result.report.repairs_applied} "
+                 f"components {result.report.component_count}")
+    parts.extend(";".join(f"{x},{z}" for x, z in sorted(comp))
+                 for comp in result.report.components)
+    return parts
+
+
+@functools.cache
+def config_digests(name: str) -> tuple[str, str]:
+    """(building digest, artifact digest) of one configuration."""
+    config, seeds = CONFIGS[name]
+    building = hashlib.blake2b(digest_size=16)
+    artifacts = hashlib.blake2b(digest_size=16)
     for i in range(seeds):
         result = generate_building(config, building_seed(MASTER_SEED, i))
-        h.update("\n".join(building_parts(result)).encode("utf-8"))
-        h.update(b"\0")
-    return h.hexdigest()
+        building.update("\n".join(building_parts(result)).encode("utf-8"))
+        building.update(b"\0")
+        artifacts.update("\n".join(artifact_parts(result)).encode("utf-8"))
+        artifacts.update(b"\0")
+    return building.hexdigest(), artifacts.hexdigest()
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_golden_digest(name):
-    config, seeds = CONFIGS[name]
-    assert config_digest(config, seeds) == GOLDEN[name]
+    assert config_digests(name)[0] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_golden_artifact_digest(name):
+    assert config_digests(name)[1] == GOLDEN_ARTIFACTS[name]
 
 
 if __name__ == "__main__":
-    for name, (config, seeds) in CONFIGS.items():
-        print(f"    {name!r}: {config_digest(config, seeds)!r},")
+    digests = {name: config_digests(name) for name in CONFIGS}
+    for column, label in enumerate(("GOLDEN", "GOLDEN_ARTIFACTS")):
+        print(f"{label} = {{")
+        for name, pair in digests.items():
+            print(f"    {name!r}: {pair[column]!r},")
+        print("}")

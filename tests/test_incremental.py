@@ -113,12 +113,16 @@ def test_grow_rooms_matches_rescanning_growth(width, depth, count, seed,
 @given(sizes, sizes, room_counts, seeds, obstacle_shares)
 def test_frontiers_equal_growth_candidates_after_every_pass(
         width, depth, count, seed, obstacles):
+    # growth_pass keeps each frontier as flat indices x * depth + z.
     grid, rooms = seeded_floor(width, depth, count, seed, obstacles)
     rng = derive_rng(seed, "growth")
-    frontiers = {room.id: growth_candidates(grid, room) for room in rooms}
+    frontiers = {room.id: {x * depth + z
+                           for x, z in growth_candidates(grid, room)}
+                 for room in rooms}
     while rooms and growth_pass(grid, rooms, rng, frontiers):
         for room in rooms:
-            assert frontiers[room.id] == growth_candidates(grid, room)
+            assert ({divmod(i, depth) for i in frontiers[room.id]}
+                    == growth_candidates(grid, room))
     # The final pass claimed nothing because every frontier is empty.
     assert all(not growth_candidates(grid, room) for room in rooms)
 

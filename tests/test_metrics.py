@@ -1,8 +1,14 @@
 """Measurements, confidence intervals, and the batch harness."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import blockhouse
 
 from blockhouse import (
     BatchError,
@@ -186,3 +192,15 @@ def test_summary_table_and_dict():
     assert {"n", "config", "master_seed", "mean_avg_room_area",
             "mean_door_count", "pre_repair_connectivity_rate",
             "total_repairs", "total_time"} <= keys
+
+
+def test_import_leaves_statistics_and_the_process_pool_unloaded():
+    # Both are imported where a batch needs them, so `generate` and
+    # `render` never pay for them.
+    src = str(Path(blockhouse.__file__).resolve().parents[1])
+    code = ("import sys, blockhouse; print(sorted(m for m in "
+            "('statistics', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert proc.stdout.strip() == "[]"

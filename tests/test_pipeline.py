@@ -79,6 +79,15 @@ def test_from_dict_rejects_bad_input():
         RunConfig.from_dict({"depth": 7})
     with pytest.raises(ValueError, match="'ca'"):
         RunConfig.from_dict({"width": 7, "depth": 7, "ca": [2, 3]})
+    for key in ("width", "depth", "height", "seed", "max_attempts"):
+        for value in (7.9, 7.0, True, False, "7", [7]):
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                RunConfig.from_dict({"width": 7, "depth": 7, key: value})
+    for key in ("width", "depth", "height", "max_attempts"):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            RunConfig.from_dict({"width": 7, "depth": 7, key: None})
+    assert RunConfig.from_dict({"width": 7, "depth": 7,
+                                "seed": None}).seed is None
 
 
 @pytest.mark.parametrize("width,depth", [(7, 7), (6, 12), (9, 9)])
