@@ -65,7 +65,6 @@ from .grid import (
     derive_seed,
     is_passable,
     is_room,
-    is_wall,
 )
 from .metrics import (
     BatchError,
@@ -80,7 +79,6 @@ from .pipeline import (
     GenerationResult,
     RunConfig,
     generate_building,
-    generate_plan,
 )
 from .rooms import (
     PlacementError,
@@ -93,24 +91,3 @@ from .rooms import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AIR", "DEFAULT_HEIGHT", "DOOR_OPENING", "FLOOR_SLAB", "GLASS_BLOCK",
-    "MIN_HEIGHT", "ROOF_SLAB", "SOLID_WALL", "BuildingModel", "LayoutError",
-    "assemble", "export_json", "import_json", "parse_ascii", "render_ascii",
-    "DEFAULT_DOOR_MODE", "DEFAULT_WALL_RULE", "DOOR_MODES",
-    "WALL_RULES", "ConnectivityReport", "DoorSite",
-    "EntranceError", "RepairError", "connected_components",
-    "apply_door", "legal_door_sites", "place_doors", "place_exterior_door",
-    "repair_connectivity", "wallify_leftovers",
-    "FACADE_ORDER", "GLASS", "SOLID", "CaParams", "WallMatrix", "ca_step",
-    "generate_facades", "generate_wall", "init_wall",
-    "DOOR", "EMPTY", "EXTERIOR_DOOR", "EXTERIOR_WALL", "INTERIOR_WALL",
-    "MIN_DIMENSION", "Coord", "DimensionError", "FloorGrid", "derive_rng",
-    "derive_seed", "is_passable", "is_room", "is_wall",
-    "BatchError", "BatchSummary", "BuildingMetrics", "building_seed",
-    "confidence_interval", "measure_building", "run_batch",
-    "GenerationResult", "RunConfig", "generate_building", "generate_plan",
-    "PlacementError", "Room", "RoomCountPolicy", "grow_rooms",
-    "growth_candidates", "place_rooms", "room_count",
-]

@@ -1,16 +1,18 @@
 """Extrude a finished floor plan into a voxel model, and move plans and
 models between ASCII, JSON, and memory.
 
-Voxel space is voxels[x][y][z] with y up: slab floor at y = 0, slab roof
-at y = height + 1, and the plan extruded through the wall courses in
-between. Facade matrices replace the extruded border in a fixed order
-(north, east, south, west), so each corner column belongs to the last
-side that painted it.
+Voxel space is one flat buffer of block codes, y up, laid out in the
+exported `xzy` order: the column under plan tile i = x * depth + z is
+voxels[i * levels:(i + 1) * levels], with levels = height + 2, so block
+(x, y, z) sits at (x * depth + z) * levels + y. Each column holds the
+slab floor at y = 0, the slab roof at y = height + 1, and the plan
+extruded through the wall courses in between. Facade matrices replace
+the extruded border in a fixed order (north, east, south, west), so each
+corner column belongs to the last side that painted it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .facade import FACADE_ORDER, GLASS, WallMatrix
@@ -66,7 +68,7 @@ class BuildingModel:
     plan: FloorGrid
     height: int
     facades: dict[str, WallMatrix]
-    voxels: list[list[list[int]]]  # voxels[x][y][z]
+    voxels: bytearray  # block (x, y, z) at (x * depth + z) * levels + y
     entrance: Coord | None
 
     @property
@@ -78,24 +80,31 @@ class BuildingModel:
         return self.plan.depth
 
     def block_at(self, x: int, y: int, z: int) -> int:
-        return self.voxels[x][y][z]
+        # A flat index past the end of one column reads the next one, so
+        # every coordinate is bounded on its own.
+        levels = self.height + 2
+        if not (0 <= x < self.width and 0 <= y < levels
+                and 0 <= z < self.depth):
+            raise IndexError(
+                f"voxel ({x}, {y}, {z}) is outside the "
+                f"{self.width}x{levels}x{self.depth} volume")
+        return self.voxels[(x * self.depth + z) * levels + y]
 
     def count_block(self, block: int) -> int:
-        return sum(column.count(block)
-                   for plane in self.voxels for column in plane)
+        return self.voxels.count(block)
 
 
-def _facade_columns(side: str, width: int, depth: int) -> list[tuple[int, int]]:
-    # The (x, z) run of a side, index order = facade column order, so
+def _facade_tiles(side: str, width: int, depth: int) -> range:
+    # Plan indices of a side's border tiles in facade column order, so
     # column 0 sits at the minimum coordinate end.
     if side == "north":
-        return [(x, 0) for x in range(width)]
+        return range(0, width * depth, depth)
     if side == "south":
-        return [(x, depth - 1) for x in range(width)]
+        return range(depth - 1, width * depth, depth)
     if side == "east":
-        return [(width - 1, z) for z in range(depth)]
+        return range((width - 1) * depth, width * depth)
     if side == "west":
-        return [(0, z) for z in range(depth)]
+        return range(depth)
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -119,37 +128,38 @@ def assemble(plan: FloorGrid, facades: dict[str, WallMatrix],
             raise DimensionError(
                 f"facade '{side}' is {m.height}x{m.length}, "
                 f"expected {height}x{need}")
+        if [len(row) for row in m.cells] != [need] * height:
+            raise DimensionError(
+                f"facade '{side}' does not hold {height} rows of {need} "
+                "cells")
 
     levels = height + 2
-    voxels = [[[AIR] * d for _ in range(levels)] for _ in range(w)]
-    for x in range(w):
-        for z in range(d):
-            voxels[x][0][z] = FLOOR_SLAB
-            voxels[x][levels - 1][z] = ROOF_SLAB
-
+    walls = [SOLID_WALL] * height
+    voxels = bytearray(bytes([FLOOR_SLAB, *[AIR] * height, ROOF_SLAB])
+                       * (w * d))
+    wall_column = bytes([FLOOR_SLAB, *walls, ROOF_SLAB])
+    door_column = bytes([FLOOR_SLAB, DOOR_OPENING, DOOR_OPENING,
+                         *walls[2:], ROOF_SLAB])
     for i, t in enumerate(plan.cells):
         if is_room(t) or t == EMPTY:
             continue  # columns start as air
-        x, z = divmod(i, d)
-        for y in range(1, height + 1):
-            if t == DOOR and y <= 2:
-                voxels[x][y][z] = DOOR_OPENING
-            else:
-                voxels[x][y][z] = SOLID_WALL
+        voxels[i * levels:(i + 1) * levels] = (
+            door_column if t == DOOR else wall_column)
 
     # Facades repaint the border columns; later sides win the corners.
     for side in FACADE_ORDER:
-        m = facades[side]
-        for col, (x, z) in enumerate(_facade_columns(side, w, d)):
-            for y in range(1, height + 1):
-                cell = m.cells[y - 1][col]
-                voxels[x][y][z] = GLASS_BLOCK if cell == GLASS else SOLID_WALL
+        rows = facades[side].cells
+        for col, i in enumerate(_facade_tiles(side, w, d)):
+            start = i * levels + 1
+            voxels[start:start + height] = bytes(
+                GLASS_BLOCK if row[col] == GLASS else SOLID_WALL
+                for row in rows)
 
     entrance = plan.entrance()
     if entrance is not None:
         ex, ez = entrance
-        voxels[ex][1][ez] = DOOR_OPENING
-        voxels[ex][2][ez] = DOOR_OPENING
+        start = (ex * d + ez) * levels + 1
+        voxels[start:start + 2] = bytes([DOOR_OPENING, DOOR_OPENING])
 
     return BuildingModel(plan, height, dict(facades), voxels, entrance)
 
@@ -214,19 +224,16 @@ def export_json(model: BuildingModel, config: dict | None = None,
     """Serialize a model to a plain dict (see FORMATS.md).
 
     Voxels are stored as a palette of the block kinds present plus one
-    palette index per cell, flattened x-major, then z, then y.
+    palette index per cell, flattened x-major, then z, then y: the order
+    the model already holds them in, so only the codes are remapped.
     """
     levels = model.height + 2
-    present = sorted({model.voxels[x][y][z]
-                      for x in range(model.width)
-                      for y in range(levels)
-                      for z in range(model.depth)})
+    present = sorted(set(model.voxels))
     palette = [BLOCK_NAMES[code] for code in present]
-    index_of = {code: i for i, code in enumerate(present)}
-    blocks = [index_of[model.voxels[x][y][z]]
-              for x in range(model.width)
-              for z in range(model.depth)
-              for y in range(levels)]
+    table = bytearray(256)
+    for index, code in enumerate(present):
+        table[code] = index
+    blocks = list(model.voxels.translate(table))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "config": config,
@@ -249,7 +256,11 @@ def export_json(model: BuildingModel, config: dict | None = None,
 
 
 def import_json(doc: dict) -> BuildingModel:
-    """Rebuild a BuildingModel from an export_json document."""
+    """Rebuild a BuildingModel from an export_json document.
+
+    The model is assembled again from the plan, the facades and the wall
+    height; a document whose voxels or entrance disagree with that model
+    is rejected."""
     if not isinstance(doc, dict):
         raise LayoutError(
             f"building document must be a JSON object, not "
@@ -264,8 +275,7 @@ def import_json(doc: dict) -> BuildingModel:
                    for side in FACADE_ORDER}
         vox = doc["voxels"]
         w, levels, d = vox["size"]
-        palette = vox["palette"]
-        codes = [BLOCK_CODES[name] for name in palette]
+        codes = [BLOCK_CODES[name] for name in vox["palette"]]
         blocks = vox["blocks"]
         if len(blocks) != w * d * levels:
             raise LayoutError(
@@ -274,22 +284,16 @@ def import_json(doc: dict) -> BuildingModel:
         if blocks and min(blocks) < 0:
             raise LayoutError(
                 f"negative palette index {min(blocks)} in voxels.blocks")
-        voxels = [[[AIR] * d for _ in range(levels)] for _ in range(w)]
-        i = 0
-        for x in range(w):
-            for z in range(d):
-                for y in range(levels):
-                    voxels[x][y][z] = codes[blocks[i]]
-                    i += 1
+        voxels = bytearray(map(codes.__getitem__, blocks))
         entrance = tuple(doc["entrance"]) if doc.get("entrance") else None
     except (KeyError, IndexError, TypeError) as exc:
         raise LayoutError(f"malformed building document: {exc}") from exc
-    return BuildingModel(plan, height, facades, voxels, entrance)
-
-
-def write_json(model: BuildingModel, path: str,
-               config: dict | None = None,
-               metrics: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(export_json(model, config, metrics), fh, indent=2)
-        fh.write("\n")
+    try:
+        model = assemble(plan, facades, height)
+    except DimensionError as exc:
+        raise LayoutError(str(exc)) from exc
+    if ((w, levels, d) != (model.width, model.height + 2, model.depth)
+            or voxels != model.voxels or entrance != model.entrance):
+        raise LayoutError("voxels or entrance contradict the plan and "
+                          "facades")
+    return model

@@ -43,10 +43,6 @@ def is_room(tile: int) -> bool:
     return tile >= 0
 
 
-def is_wall(tile: int) -> bool:
-    return tile == EXTERIOR_WALL or tile == INTERIOR_WALL
-
-
 def is_passable(tile: int) -> bool:
     """Room tiles, doors, and the entrance can be walked on."""
     return tile >= 0 or tile == DOOR or tile == EXTERIOR_DOOR

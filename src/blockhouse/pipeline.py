@@ -151,37 +151,29 @@ class GenerationResult:
     elapsed: float
 
 
-def generate_plan(config: RunConfig, seed: int) -> tuple[
-        FloorGrid, list[Room], list[DoorSite], Coord, int,
-        ConnectivityReport, int]:
-    """Run the 2D stages: seed rooms, grow, wall off leftovers, place
-    doors, carve the entrance, then check and if needed repair
-    connectivity. Returns the plan plus per-stage artifacts."""
-    grid = FloorGrid(config.width, config.depth)
-    count = config.room_policy.count_for(config.width, config.depth)
-    rooms = place_rooms(grid, count, derive_rng(seed, "rooms"),
+def generate_building(config: RunConfig, seed: int) -> GenerationResult:
+    """The full pipeline for one seed: seed rooms, grow, wall off
+    leftovers, place doors, carve the entrance, check and if needed
+    repair connectivity, then run the facade automaton and assemble the
+    voxel model."""
+    start = time.perf_counter()
+    plan = FloorGrid(config.width, config.depth)
+    requested = config.room_policy.count_for(config.width, config.depth)
+    rooms = place_rooms(plan, requested, derive_rng(seed, "rooms"),
                         config.max_attempts)
-    grow_rooms(grid, rooms, derive_rng(seed, "growth"))
-    wallify_leftovers(grid)
-    placed = place_doors(grid, derive_rng(seed, "doors"), rooms,
+    grow_rooms(plan, rooms, derive_rng(seed, "growth"))
+    wallify_leftovers(plan)
+    placed = place_doors(plan, derive_rng(seed, "doors"), rooms,
                          config.wall_rule, config.door_mode)
-    entrance = place_exterior_door(grid, derive_rng(seed, "entrance"))
-    pre = connected_components(grid)
+    entrance = place_exterior_door(plan, derive_rng(seed, "entrance"))
+    pre = connected_components(plan)
     if pre.component_count > 1:
-        report = repair_connectivity(grid, derive_rng(seed, "repair"), rooms)
+        report = repair_connectivity(plan, derive_rng(seed, "repair"), rooms)
     else:
         report = pre
-    return grid, rooms, placed, entrance, pre.component_count, report, count
-
-
-def generate_building(config: RunConfig, seed: int) -> GenerationResult:
-    """The full pipeline for one seed: plan, facades, voxel assembly."""
-    start = time.perf_counter()
-    (plan, rooms, placed, entrance, pre_components, report,
-     requested) = generate_plan(config, seed)
     facades = generate_facades(config.width, config.depth, config.height,
                                config.ca, derive_rng(seed, "facade"))
     model = assemble(plan, facades, config.height)
     elapsed = time.perf_counter() - start
-    return GenerationResult(seed, plan, rooms, requested, placed,
-                            entrance, pre_components, report, model, elapsed)
+    return GenerationResult(seed, plan, rooms, requested, placed, entrance,
+                            pre.component_count, report, model, elapsed)

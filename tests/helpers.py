@@ -168,8 +168,8 @@ def voxel_walkable(model: BuildingModel) -> bool:
         for nx, nz in ((x + 1, z), (x - 1, z), (x, z + 1), (x, z - 1)):
             if not plan.in_bounds(nx, nz) or (nx, nz) in seen:
                 continue
-            if (model.voxels[nx][1][nz] in PASSABLE_BLOCKS
-                    and model.voxels[nx][2][nz] in PASSABLE_BLOCKS):
+            if (model.block_at(nx, 1, nz) in PASSABLE_BLOCKS
+                    and model.block_at(nx, 2, nz) in PASSABLE_BLOCKS):
                 seen.add((nx, nz))
                 queue.append((nx, nz))
     rooms = {(x, z) for x, z in plan.coords() if plan.get(x, z) >= 0}

@@ -1,6 +1,5 @@
 """Voxel assembly and the ASCII/JSON serial forms."""
 
-import json
 import random
 
 import pytest
@@ -31,7 +30,6 @@ from blockhouse.assembly import (
     PASSABLE_BLOCKS,
     SCHEMA_VERSION,
     tile_char,
-    write_json,
 )
 
 from helpers import (
@@ -66,9 +64,7 @@ def test_volume_dimensions():
     assert model.width == 5
     assert model.depth == 5
     assert model.height == 3
-    assert len(model.voxels) == 5
-    assert len(model.voxels[0]) == 5  # height + floor + roof
-    assert len(model.voxels[0][0]) == 5
+    assert len(model.voxels) == 5 * 5 * 5  # levels = height + floor + roof
 
 
 def test_floor_and_roof_slabs():
@@ -282,11 +278,85 @@ def test_import_rejects_documents_that_are_not_objects(doc):
         import_json(doc)
 
 
-def test_write_json_round_trips_through_disk(tmp_path):
-    model = _small_model()
-    path = tmp_path / "building.json"
-    write_json(model, str(path), config={"seed": 1})
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc["config"] == {"seed": 1}
-    assert import_json(doc) == model
+def test_block_at_rejects_coordinates_outside_the_volume():
+    model = _generated(3)
+    w, levels, d = model.width, model.height + 2, model.depth
+    assert model.block_at(w - 1, levels - 1, d - 1) == ROOF_SLAB
+    for x, y, z in ((-1, 0, 0), (w, 0, 0), (0, -1, 0), (0, levels, 0),
+                    (0, 0, -1), (0, 0, d), (1, 1, d), (w - 2, levels, 3)):
+        with pytest.raises(IndexError, match="outside"):
+            model.block_at(x, y, z)
+    assert sum(model.count_block(code) for code in BLOCK_NAMES) \
+        == w * levels * d
+
+
+def test_import_rejects_any_single_changed_block():
+    doc = export_json(_small_model())
+    blocks = doc["voxels"]["blocks"]
+    kinds = len(doc["voxels"]["palette"])
+    for i, original in enumerate(blocks):
+        for other in range(kinds):
+            if other == original:
+                continue
+            blocks[i] = other
+            with pytest.raises(LayoutError, match="contradict"):
+                import_json(doc)
+        blocks[i] = original
+    assert import_json(doc) == _small_model()
+
+
+def test_import_rejects_a_moved_entrance():
+    doc = export_json(_small_model())
+    assert doc["entrance"] == [0, 2]
+    for moved in ([0, 1], [2, 0], None):
+        doc["entrance"] = moved
+        with pytest.raises(LayoutError, match="contradict"):
+            import_json(doc)
+
+
+def test_import_rejects_a_flipped_facade_cell():
+    doc = export_json(_small_model())
+    north = doc["facades"]["north"]
+    row = north[1]
+    # Column 2 of the north facade paints (2, 0), away from the corners
+    # the east and west facades own and from the entrance.
+    north[1] = row[:2] + ("0" if row[2] == "1" else "1") + row[3:]
+    with pytest.raises(LayoutError, match="contradict"):
+        import_json(doc)
+
+
+def test_import_rejects_misshapen_facades():
+    doc = export_json(_small_model())
+    doc["facades"]["east"][-1] = doc["facades"]["east"][-1][:-1]
+    with pytest.raises(LayoutError, match="facade 'east'"):
+        import_json(doc)
+    doc = export_json(_small_model())
+    doc["facades"]["north"] = [row[:-1] for row in doc["facades"]["north"]]
+    with pytest.raises(LayoutError, match="facade 'north' is 3x4"):
+        import_json(doc)
+    doc = export_json(_small_model())
+    doc["facades"]["south"] = doc["facades"]["south"][:-1]
+    with pytest.raises(LayoutError, match="facade 'south'"):
+        import_json(doc)
+
+
+def test_import_rejects_a_wall_height_below_the_minimum():
+    doc = export_json(_small_model())
+    doc["wall_height"] = 2
+    with pytest.raises(LayoutError, match="height 2 is too small"):
+        import_json(doc)
+
+
+def test_import_rejects_a_voxel_size_that_disagrees_with_the_plan():
+    model = _generated(5, width=9, depth=7)
+    doc = export_json(model)
+    assert doc["voxels"]["size"] == [9, 6, 7]
+    # Same number of blocks, so only the size itself can give it away.
+    doc["voxels"]["size"] = [7, 6, 9]
+    with pytest.raises(LayoutError, match="contradict"):
+        import_json(doc)
+    doc = export_json(model)
+    doc["voxels"]["size"] = [9, 6, 8]
+    doc["voxels"]["blocks"] += doc["voxels"]["blocks"][:6 * 9]
+    with pytest.raises(LayoutError, match="contradict"):
+        import_json(doc)

@@ -209,6 +209,40 @@ def test_render_rejects_json_that_is_not_an_object(capsys, tmp_path, text):
     assert len(err.strip().splitlines()) == 1
 
 
+def _flip_roof_block(doc):
+    blocks = doc["voxels"]["blocks"]
+    blocks[doc["voxels"]["size"][1] - 1] = doc["voxels"]["palette"].index(
+        "air")
+
+
+def _move_entrance(doc):
+    doc["entrance"] = [doc["entrance"][0], doc["entrance"][1] + 1]
+
+
+def _cut_facade_row(doc):
+    doc["facades"]["west"][-1] = doc["facades"]["west"][-1][:-1]
+
+
+def _lower_wall_height(doc):
+    doc["wall_height"] = 2
+
+
+@pytest.mark.parametrize("mutate", [_flip_roof_block, _move_entrance,
+                                    _cut_facade_row, _lower_wall_height])
+def test_render_rejects_documents_that_contradict_their_plan(
+        capsys, tmp_path, mutate):
+    path = tmp_path / "b.json"
+    run(capsys, *GEN77, "--format", "json", "--out", str(path))
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "render", str(path))
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("parse error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_render_rejects_invalid_layouts(capsys, tmp_path):
     # Two entrances parse fine but fail plan validation.
     path = tmp_path / "twodoors.txt"

@@ -8,13 +8,17 @@ A second digest per configuration pins the plan-stage artifacts the
 first one does not see: each room's anchor and final tile set, the
 component count before repair, the repairs applied and the components
 of the final connectivity report, in order. Two non-square floors make
-sure a transposed tile layout cannot pass.
+sure a transposed tile layout cannot pass. A third digest pins the exact
+text `generate --format json` writes for each building, less its
+`metrics` block, which holds a wall time.
 
 The first six building constants were recorded from the code before the
 growth frontier and the saturate door-site map became incremental; the
 artifact constants and the non-square configurations were recorded
-before the floor became one flat tile list. So they also prove that
-those optimisations changed no building. Re-record them only in a
+before the floor became one flat tile list; the text constants and the
+tall and minimum-height configurations were recorded before the voxels
+became one flat buffer. So they also prove that those optimisations
+changed no building and no exported byte. Re-record them only in a
 change that is meant to alter the generated buildings, and say so in it:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -61,6 +65,11 @@ CONFIGS = {
     "17x31 explicit:12 saturate": (
         RunConfig(width=17, depth=31, height=4,
                   room_policy=RoomCountPolicy(12), door_mode="saturate"), 12),
+    "11x9 formula height 32": (
+        RunConfig(width=11, depth=9, height=32), 12),
+    "9x7 explicit:3 height 3": (
+        RunConfig(width=9, depth=7, height=3,
+                  room_policy=RoomCountPolicy(3)), 40),
 }
 
 GOLDEN = {
@@ -72,6 +81,8 @@ GOLDEN = {
     "20x20 explicit:20 saturate interior": "7a706d93e4d8ac5a55d93fe3be752775",
     "31x17 formula sweep": "a7a2aeb09cff1ed6efa97016ef4fb8e4",
     "17x31 explicit:12 saturate": "bb436367b9b4fd07e5601d980235390a",
+    "11x9 formula height 32": "2709567a759874b3e9aef22e956b1c68",
+    "9x7 explicit:3 height 3": "ee2c2e8ff359b8b5d854475d7d94f1d3",
 }
 
 GOLDEN_ARTIFACTS = {
@@ -83,6 +94,21 @@ GOLDEN_ARTIFACTS = {
     "20x20 explicit:20 saturate interior": "5805971b56b76287ad324b09e1c2dad5",
     "31x17 formula sweep": "0a8ffd610553744ca281a391f0f0593e",
     "17x31 explicit:12 saturate": "a10c2a628cef30d68822475f73371ee7",
+    "11x9 formula height 32": "56102709fe5ae027aad2ec493c098b9e",
+    "9x7 explicit:3 height 3": "68c7505ab8cc25164ed2582cf4fdeb7c",
+}
+
+GOLDEN_TEXT = {
+    "7x7 explicit:3 sweep": "f44662f34ac499338886f93c499b8c74",
+    "6x12 explicit:3 sweep": "075edf17dc5a875d486f752c51306866",
+    "15x15 explicit:5 sweep": "f7a98755a10ec0162fd42a2a19b02c95",
+    "24x24 formula sweep": "0f4f0c6de552347ee7806a5c98a04fd1",
+    "20x20 explicit:20 saturate any": "cbf7707ace0869a4f6c7b24fb10642d5",
+    "20x20 explicit:20 saturate interior": "e02577ff09e1493cdcc04bc6ee688fd2",
+    "31x17 formula sweep": "7ccf0d3c571117a273a1bfc32c5d0cd8",
+    "17x31 explicit:12 saturate": "d72bd17f5fb58c71bf878e368249ed8e",
+    "11x9 formula height 32": "d9d2d3541b61ff34cf97841de35c3377",
+    "9x7 explicit:3 height 3": "22f96263f3c8fb6d281b4a96f6b4bef9",
 }
 
 
@@ -109,19 +135,28 @@ def artifact_parts(result) -> list[str]:
     return parts
 
 
+def exported_text(config, result) -> str:
+    return json.dumps(export_json(
+        result.model, config=config.with_seed(result.seed).to_dict()),
+        indent=2)
+
+
 @functools.cache
-def config_digests(name: str) -> tuple[str, str]:
-    """(building digest, artifact digest) of one configuration."""
+def config_digests(name: str) -> tuple[str, str, str]:
+    """(building, artifact, exported text) digests of one configuration."""
     config, seeds = CONFIGS[name]
     building = hashlib.blake2b(digest_size=16)
     artifacts = hashlib.blake2b(digest_size=16)
+    text = hashlib.blake2b(digest_size=16)
     for i in range(seeds):
         result = generate_building(config, building_seed(MASTER_SEED, i))
         building.update("\n".join(building_parts(result)).encode("utf-8"))
         building.update(b"\0")
         artifacts.update("\n".join(artifact_parts(result)).encode("utf-8"))
         artifacts.update(b"\0")
-    return building.hexdigest(), artifacts.hexdigest()
+        text.update(exported_text(config, result).encode("utf-8"))
+        text.update(b"\0")
+    return building.hexdigest(), artifacts.hexdigest(), text.hexdigest()
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
@@ -134,9 +169,15 @@ def test_golden_artifact_digest(name):
     assert config_digests(name)[1] == GOLDEN_ARTIFACTS[name]
 
 
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_golden_exported_text_digest(name):
+    assert config_digests(name)[2] == GOLDEN_TEXT[name]
+
+
 if __name__ == "__main__":
     digests = {name: config_digests(name) for name in CONFIGS}
-    for column, label in enumerate(("GOLDEN", "GOLDEN_ARTIFACTS")):
+    for column, label in enumerate(("GOLDEN", "GOLDEN_ARTIFACTS",
+                                    "GOLDEN_TEXT")):
         print(f"{label} = {{")
         for name, pair in digests.items():
             print(f"    {name!r}: {pair[column]!r},")

@@ -15,7 +15,6 @@ from blockhouse import (
     derive_seed,
     is_passable,
     is_room,
-    is_wall,
 )
 
 
@@ -59,8 +58,6 @@ def test_neighbors4_order_and_bounds():
 def test_tile_predicates():
     assert is_room(0) and is_room(35)
     assert not is_room(EMPTY)
-    assert is_wall(EXTERIOR_WALL) and is_wall(INTERIOR_WALL)
-    assert not is_wall(DOOR)
     assert is_passable(DOOR) and is_passable(EXTERIOR_DOOR) and is_passable(3)
     assert not is_passable(INTERIOR_WALL) and not is_passable(EMPTY)
 

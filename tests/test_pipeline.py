@@ -12,7 +12,6 @@ from blockhouse import (
     RoomCountPolicy,
     RunConfig,
     generate_building,
-    generate_plan,
 )
 
 from helpers import (
@@ -94,12 +93,14 @@ def test_from_dict_rejects_bad_input():
 def test_generated_plans_are_valid(width, depth):
     config = RunConfig(width=width, depth=depth)
     for seed in range(15):
-        plan, rooms, placed, entrance, pre, report, count = generate_plan(
-            config, seed)
+        result = generate_building(config, seed)
+        plan, report, pre = (result.plan, result.report,
+                             result.pre_repair_components)
         plan.validate()
         assert plan.count(EMPTY) == 0
-        assert plan.entrance() == entrance
-        assert count == config.room_policy.count_for(width, depth)
+        assert plan.entrance() == result.entrance
+        assert result.requested_rooms == config.room_policy.count_for(
+            width, depth)
         assert report.connected
         assert len(passable_components(plan)) <= 1
         assert pre >= 1
@@ -108,9 +109,10 @@ def test_generated_plans_are_valid(width, depth):
         # Door flanks may split a room's remaining tiles (the fragments
         # stay reachable through the doors), but the room records must
         # mirror the grid exactly.
-        for room in rooms:
+        for room in result.rooms:
             assert room.tiles == set(plan.find(room.id))
-        assert plan.count(DOOR) == len(placed) + report.repairs_applied
+        assert plan.count(DOOR) == (len(result.placed_doors)
+                                    + report.repairs_applied)
         assert (report.repairs_applied == 0) == (pre == 1)
 
 
@@ -144,8 +146,8 @@ def test_height_leaves_the_plan_alone():
     short = generate_building(RunConfig(width=9, depth=9, height=3), 55)
     tall = generate_building(RunConfig(width=9, depth=9, height=6), 55)
     assert short.plan == tall.plan
-    assert len(short.model.voxels[0]) == 5
-    assert len(tall.model.voxels[0]) == 8
+    assert len(short.model.voxels) == 9 * 5 * 9
+    assert len(tall.model.voxels) == 9 * 8 * 9
 
 
 def test_door_mode_leaves_earlier_stages_alone():
