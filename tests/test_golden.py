@@ -179,6 +179,6 @@ if __name__ == "__main__":
     for column, label in enumerate(("GOLDEN", "GOLDEN_ARTIFACTS",
                                     "GOLDEN_TEXT")):
         print(f"{label} = {{")
-        for name, pair in digests.items():
-            print(f"    {name!r}: {pair[column]!r},")
+        for name, row in digests.items():
+            print(f"    {name!r}: {row[column]!r},")
         print("}")
