@@ -17,9 +17,13 @@ growth frontier and the saturate door-site map became incremental; the
 artifact constants and the non-square configurations were recorded
 before the floor became one flat tile list; the text constants and the
 tall and minimum-height configurations were recorded before the voxels
-became one flat buffer. So they also prove that those optimisations
-changed no building and no exported byte. Re-record them only in a
-change that is meant to alter the generated buildings, and say so in it:
+became one flat buffer; the two configurations with non-default
+automaton settings (glass sums 0, 1, 4 and 5 with a 0.6 start and three
+generations, and a 40-wide, 20-high seed wall with no generations) were
+recorded before each facade became one packed int. So they also prove
+that those optimisations changed no building and no exported byte.
+Re-record them only in a change that is meant to alter the generated
+buildings, and say so in it:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -32,6 +36,7 @@ import pytest
 
 from blockhouse import (
     FACADE_ORDER,
+    CaParams,
     RoomCountPolicy,
     RunConfig,
     building_seed,
@@ -70,6 +75,13 @@ CONFIGS = {
     "9x7 explicit:3 height 3": (
         RunConfig(width=9, depth=7, height=3,
                   room_policy=RoomCountPolicy(3)), 40),
+    "13x5 explicit:2 height 9 ca 0145": (
+        RunConfig(width=13, depth=5, height=9,
+                  room_policy=RoomCountPolicy(2),
+                  ca=CaParams(0.6, 3, frozenset({0, 1, 4, 5}))), 24),
+    "40x6 formula height 20 ca gen 0": (
+        RunConfig(width=40, depth=6, height=20,
+                  ca=CaParams(generations=0)), 6),
 }
 
 GOLDEN = {
@@ -83,6 +95,8 @@ GOLDEN = {
     "17x31 explicit:12 saturate": "bb436367b9b4fd07e5601d980235390a",
     "11x9 formula height 32": "2709567a759874b3e9aef22e956b1c68",
     "9x7 explicit:3 height 3": "ee2c2e8ff359b8b5d854475d7d94f1d3",
+    "13x5 explicit:2 height 9 ca 0145": "8fa343abef66583238ffb8ace67144b3",
+    "40x6 formula height 20 ca gen 0": "3e52addcc5b2b7b1997f02a5f016f701",
 }
 
 GOLDEN_ARTIFACTS = {
@@ -96,6 +110,8 @@ GOLDEN_ARTIFACTS = {
     "17x31 explicit:12 saturate": "a10c2a628cef30d68822475f73371ee7",
     "11x9 formula height 32": "56102709fe5ae027aad2ec493c098b9e",
     "9x7 explicit:3 height 3": "68c7505ab8cc25164ed2582cf4fdeb7c",
+    "13x5 explicit:2 height 9 ca 0145": "35a00ff36283b118f25813b78462960f",
+    "40x6 formula height 20 ca gen 0": "dadee23d09b86e122713c1f0691e9954",
 }
 
 GOLDEN_TEXT = {
@@ -109,6 +125,8 @@ GOLDEN_TEXT = {
     "17x31 explicit:12 saturate": "d72bd17f5fb58c71bf878e368249ed8e",
     "11x9 formula height 32": "d9d2d3541b61ff34cf97841de35c3377",
     "9x7 explicit:3 height 3": "22f96263f3c8fb6d281b4a96f6b4bef9",
+    "13x5 explicit:2 height 9 ca 0145": "cb88ff6e9f3781ddbd95146d3f8cc416",
+    "40x6 formula height 20 ca gen 0": "36fda840cf46d9d46d2077ae4bcaf4bd",
 }
 
 
