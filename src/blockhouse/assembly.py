@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .facade import FACADE_ORDER, GLASS, WallMatrix
+from .facade import FACADE_ORDER, WallMatrix
 from .grid import (
     DOOR,
     EMPTY,
@@ -108,6 +108,10 @@ def _facade_tiles(side: str, width: int, depth: int) -> range:
     raise ValueError(f"unknown side {side!r}")
 
 
+# Facade cell characters '0' and '1' to the blocks they paint.
+_FACADE_BLOCKS = bytes.maketrans(b"01", bytes([SOLID_WALL, GLASS_BLOCK]))
+
+
 def assemble(plan: FloorGrid, facades: dict[str, WallMatrix],
              height: int = DEFAULT_HEIGHT) -> BuildingModel:
     """Build the voxel volume for a processed plan.
@@ -128,10 +132,6 @@ def assemble(plan: FloorGrid, facades: dict[str, WallMatrix],
             raise DimensionError(
                 f"facade '{side}' is {m.height}x{m.length}, "
                 f"expected {height}x{need}")
-        if [len(row) for row in m.cells] != [need] * height:
-            raise DimensionError(
-                f"facade '{side}' does not hold {height} rows of {need} "
-                "cells")
 
     levels = height + 2
     walls = [SOLID_WALL] * height
@@ -148,12 +148,15 @@ def assemble(plan: FloorGrid, facades: dict[str, WallMatrix],
 
     # Facades repaint the border columns; later sides win the corners.
     for side in FACADE_ORDER:
-        rows = facades[side].cells
+        m = facades[side]
+        # The wall's bits as text from bit 0 up: cell (r, c) is character
+        # r * stride + c, so column c is every stride-th one from c.
+        stride = m.length + 1
+        cells = format(m.bits, f"0{height * stride}b")[::-1].encode()
+        cells = cells.translate(_FACADE_BLOCKS)
         for col, i in enumerate(_facade_tiles(side, w, d)):
             start = i * levels + 1
-            voxels[start:start + height] = bytes(
-                GLASS_BLOCK if row[col] == GLASS else SOLID_WALL
-                for row in rows)
+            voxels[start:start + height] = cells[col::stride]
 
     entrance = plan.entrance()
     if entrance is not None:
@@ -271,8 +274,12 @@ def import_json(doc: dict) -> BuildingModel:
     try:
         plan = parse_ascii("\n".join(doc["plan"]))
         height = int(doc["wall_height"])
-        facades = {side: WallMatrix.from_rows(doc["facades"][side])
-                   for side in FACADE_ORDER}
+        facades = {}
+        for side in FACADE_ORDER:
+            try:
+                facades[side] = WallMatrix.from_rows(doc["facades"][side])
+            except ValueError as exc:
+                raise LayoutError(f"facade '{side}': {exc}") from exc
         vox = doc["voxels"]
         w, levels, d = vox["size"]
         codes = [BLOCK_CODES[name] for name in vox["palette"]]

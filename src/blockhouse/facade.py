@@ -4,12 +4,19 @@ Each facade starts as random noise (one cell in four glass) and runs a
 fixed number of synchronous generations. A cell's next state looks at
 the sum of itself plus its orthogonal neighbors: the cell becomes glass
 exactly when that sum lands in the configured set, otherwise solid.
+
+A wall is one int. Row r, column c (row 0 the bottom course) is bit
+r * (length + 1) + c, and the spare bit above each row's last column is
+always 0. A one-column shift of the whole wall therefore never carries a
+cell into the next row, and one generation is a few dozen bitwise
+operations on the int: the five neighbor-sum inputs are the wall and its
+four shifts, added bit-sliced into three sum planes.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SOLID = 0
 GLASS = 1
@@ -42,73 +49,111 @@ class CaParams:
 
 @dataclass
 class WallMatrix:
-    """One facade's cells: rows[r][c] with row 0 the bottom course and
-    column 0 the minimum-coordinate end of the side."""
+    """One facade's cells, packed: row r, column c is bit
+    r * (length + 1) + c, with row 0 the bottom course and column 0 the
+    minimum-coordinate end of the side. Every bit outside the cells is
+    0, and an all-solid wall is 0."""
     height: int
     length: int
-    cells: list[list[int]] = field(default_factory=list)
+    bits: int = 0
 
     def __post_init__(self):
         if self.height < 1 or self.length < 1:
             raise ValueError(
                 f"wall must be at least 1x1, got {self.height}x{self.length}")
-        if not self.cells:
-            self.cells = [[SOLID] * self.length for _ in range(self.height)]
+        # A set spare bit or a bit past the top row would shift into
+        # other cells, and assemble would paint a column too long.
+        if self.bits & ~_valid_cells(self.height, self.length):
+            raise ValueError(f"bits {self.bits:#x} fall outside the "
+                             f"{self.height}x{self.length} wall's cells")
 
     def get(self, row: int, col: int) -> int:
-        return self.cells[row][col]
+        return self.bits >> (row * (self.length + 1) + col) & 1
 
     def glass_count(self) -> int:
-        return sum(sum(row) for row in self.cells)
+        return self.bits.bit_count()
 
     def rows(self) -> list[str]:
         """Cells as '0'/'1' strings, bottom row first."""
-        return ["".join(str(c) for c in row) for row in self.cells]
+        l, bits = self.length, self.bits
+        mask, fmt = (1 << l) - 1, f"0{l}b"
+        return [format(bits >> r * (l + 1) & mask, fmt)[::-1]
+                for r in range(self.height)]
 
     @classmethod
     def from_rows(cls, rows: list[str]) -> "WallMatrix":
-        cells = [[int(ch) for ch in row] for row in rows]
-        return cls(len(cells), len(cells[0]) if cells else 0, cells)
+        """Inverse of rows(). Rejects an empty wall, ragged rows and any
+        character other than '0' or '1'."""
+        if not rows or not rows[0]:
+            raise ValueError("wall has no cells")
+        length = len(rows[0])
+        for r, row in enumerate(rows):
+            if len(row) != length:
+                raise ValueError(
+                    f"row {r} has {len(row)} cells, expected {length}")
+        # Row r's string, reversed, is the bits of row r from column 0
+        # up; joining the rows with "0" puts a zero in each spare bit.
+        text = "0".join(rows)
+        if not set(text) <= {"0", "1"}:
+            raise ValueError("cells must be '0' or '1'")
+        return cls(len(rows), length, int(text[::-1], 2))
 
 
 def init_wall(height: int, length: int, params: CaParams,
               rng: random.Random) -> WallMatrix:
     """Random starting wall: each cell is independently glass with the
     configured probability. Cells are drawn row by row, bottom first."""
-    cells = [[GLASS if rng.random() < params.init_glass_probability else SOLID
-              for _ in range(length)]
-             for _ in range(height)]
-    return WallMatrix(height, length, cells)
+    p, draw = params.init_glass_probability, rng.random
+    # Cell i = r * length + c sits at bit i + r.
+    bits = sum([1 << (i + i // length) for i in range(height * length)
+                if draw() < p])
+    return WallMatrix(height, length, bits)
+
+
+def _valid_cells(height: int, length: int) -> int:
+    # One row's cells, repeated in every row: the repunit of the stride
+    # times the row mask.
+    stride = length + 1
+    return (((1 << stride * height) - 1) // ((1 << stride) - 1)
+            * ((1 << length) - 1))
+
+
+def _next_bits(x: int, stride: int, valid: int,
+               glass_sums: frozenset[int]) -> int:
+    # The five inputs are the cell and its neighbors on the right, left,
+    # above and below. The spare bits stop the column shifts at the row
+    # ends; whatever the shifts leave in a spare bit or past the top row
+    # is cleared by the final mask, since every step below is bitwise.
+    a, b, c, d = x >> 1, x << 1, x >> stride, x << stride
+    # Two full adders and a half adder: sum = s0 + 2 * s1 + 4 * s2.
+    t = x ^ a ^ b
+    c1 = (x & a) | (b & (x ^ a))
+    s0 = t ^ c ^ d
+    c2 = (c & d) | (t & (c ^ d))
+    s1, s2 = c1 ^ c2, c1 & c2
+    out = 0
+    for k in glass_sums:
+        out |= ((s0 if k & 1 else ~s0) & (s1 if k & 2 else ~s1)
+                & (s2 if k & 4 else ~s2))
+    return out & valid
 
 
 def ca_step(matrix: WallMatrix, params: CaParams) -> WallMatrix:
     """One synchronous generation. Neighbors beyond the edge count as
     solid, which biases glass away from the wall rim."""
     h, l = matrix.height, matrix.length
-    old = matrix.cells
-    new = [[SOLID] * l for _ in range(h)]
-    for r in range(h):
-        for c in range(l):
-            total = old[r][c]
-            if r > 0:
-                total += old[r - 1][c]
-            if r < h - 1:
-                total += old[r + 1][c]
-            if c > 0:
-                total += old[r][c - 1]
-            if c < l - 1:
-                total += old[r][c + 1]
-            new[r][c] = GLASS if total in params.glass_sums else SOLID
-    return WallMatrix(h, l, new)
+    return WallMatrix(h, l, _next_bits(matrix.bits, l + 1,
+                                       _valid_cells(h, l), params.glass_sums))
 
 
 def generate_wall(height: int, length: int, params: CaParams,
                   rng: random.Random) -> WallMatrix:
     """Initialize a wall and run it for the configured generations."""
-    wall = init_wall(height, length, params, rng)
+    bits = init_wall(height, length, params, rng).bits
+    valid = _valid_cells(height, length)
     for _ in range(params.generations):
-        wall = ca_step(wall, params)
-    return wall
+        bits = _next_bits(bits, length + 1, valid, params.glass_sums)
+    return WallMatrix(height, length, bits)
 
 
 def generate_facades(width: int, depth: int, height: int, params: CaParams,

@@ -36,6 +36,14 @@ from .rooms import (
 )
 
 
+def _require(key: str, value, types: tuple = (int,),
+             what: str = "an integer") -> None:
+    # An exact type test: bool is an int subclass, and 7.9 or true must
+    # not pass as 7 or 1.
+    if type(value) not in types:
+        raise ValueError(f"config key '{key}' must be {what}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one generation run depends on, validated up front."""
@@ -105,21 +113,26 @@ class RunConfig:
         if bad:
             raise ValueError(f"unknown ca keys: {sorted(bad)}")
         ca_kwargs = dict(ca_data)
+        if "generations" in ca_kwargs:
+            _require("ca.generations", ca_kwargs["generations"])
+        if "init_glass_probability" in ca_kwargs:
+            _require("ca.init_glass_probability",
+                     ca_kwargs["init_glass_probability"], (int, float),
+                     "a number")
         if "glass_sums" in ca_kwargs:
-            ca_kwargs["glass_sums"] = frozenset(
-                int(v) for v in ca_kwargs["glass_sums"])
+            sums = ca_kwargs["glass_sums"]
+            _require("ca.glass_sums", sums, (list,), "a list of integers")
+            for i, v in enumerate(sums):
+                _require(f"ca.glass_sums[{i}]", v)
+            ca_kwargs["glass_sums"] = frozenset(sums)
         rooms_text = data.pop("rooms", None)
         kwargs: dict = {}
         for key in ("width", "depth", "height", "seed", "max_attempts"):
             if key in data:
                 value = data.pop(key)
-                # bool is an int subclass, and 7.9 or true must not pass
-                # as 7 or 1; only the seed may be null (drawn at random).
-                if type(value) is not int and (key != "seed"
-                                               or value is not None):
-                    raise ValueError(
-                        f"config key '{key}' must be an integer, "
-                        f"not {value!r}")
+                # Only the seed may be null (drawn at random).
+                if key != "seed" or value is not None:
+                    _require(key, value)
                 kwargs[key] = value
         if "door_walls" in data:
             kwargs["wall_rule"] = str(data.pop("door_walls"))

@@ -24,8 +24,8 @@ def ca_oracle_step(matrix: WallMatrix, glass_sums) -> list[list[int]]:
     walks row-major over the unpadded grid)."""
     h, w = matrix.height, matrix.length
     padded = [[0] * (w + 2)]
-    for row in matrix.cells:
-        padded.append([0] + list(row) + [0])
+    for r in range(h):
+        padded.append([0] + [matrix.get(r, c) for c in range(w)] + [0])
     padded.append([0] * (w + 2))
     out = [[0] * w for _ in range(h)]
     for c in range(1, w + 1):
@@ -34,6 +34,18 @@ def ca_oracle_step(matrix: WallMatrix, glass_sums) -> list[list[int]]:
                      + padded[r][c - 1] + padded[r][c + 1])
             out[r - 1][c - 1] = 1 if total in glass_sums else 0
     return out
+
+
+def wall_of(cells: list[list[int]]) -> WallMatrix:
+    """A wall from nested 0/1 lists (bottom row first), built through
+    its public row form."""
+    return WallMatrix.from_rows(["".join(map(str, row)) for row in cells])
+
+
+def cells_of(matrix: WallMatrix) -> list[list[int]]:
+    """A wall's cells as nested 0/1 lists, read one `get` at a time."""
+    return [[matrix.get(r, c) for c in range(matrix.length)]
+            for r in range(matrix.height)]
 
 
 def _passable(tile: int) -> bool:
@@ -149,7 +161,7 @@ def expected_glass_count(model: BuildingModel) -> int:
         for y in range(1, model.height + 1):
             if model.entrance == (x, z) and y in (1, 2):
                 continue
-            total += matrix.cells[y - 1][col]
+            total += matrix.get(y - 1, col)
     return total
 
 

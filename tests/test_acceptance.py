@@ -18,7 +18,6 @@ from blockhouse import (
     FloorGrid,
     RoomCountPolicy,
     RunConfig,
-    WallMatrix,
     apply_door,
     building_seed,
     ca_step,
@@ -40,10 +39,12 @@ from blockhouse.rooms import growth_pass
 
 from helpers import (
     ca_oracle_step,
+    cells_of,
     interior_tile_conservation,
     passable_components,
     rooms_are_separated,
     voxel_walkable,
+    wall_of,
 )
 
 MASTER_SEED = 20260816
@@ -154,8 +155,8 @@ def test_criterion_6_automaton_oracle():
                 for bits in itertools.product((0, 1), repeat=h * length):
                     cells = [list(bits[r * length:(r + 1) * length])
                              for r in range(h)]
-                    wall = WallMatrix(h, length, cells)
-                    got = ca_step(wall, params).cells
+                    wall = wall_of(cells)
+                    got = cells_of(ca_step(wall, params))
                     want = ca_oracle_step(wall, params.glass_sums)
                     assert got == want, (
                         f"mismatch on {h}x{length} state {bits}")
@@ -163,8 +164,8 @@ def test_criterion_6_automaton_oracle():
         rng = random.Random(1234)
         for _ in range(1000):
             cells = [[rng.randint(0, 1) for _ in range(8)] for _ in range(8)]
-            wall = WallMatrix(8, 8, cells)
-            assert ca_step(wall, params).cells == ca_oracle_step(
+            wall = wall_of(cells)
+            assert cells_of(ca_step(wall, params)) == ca_oracle_step(
                 wall, params.glass_sums)
         return (f"{checked} exhaustive matrices (all shapes with <= 9 "
                 "cells) plus 1000 random 8x8, zero mismatches")

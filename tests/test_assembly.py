@@ -340,6 +340,23 @@ def test_import_rejects_misshapen_facades():
         import_json(doc)
 
 
+@pytest.mark.parametrize("cell", ["2", "x", " ", "_", "-", "+"])
+def test_import_rejects_facade_cells_other_than_0_and_1(cell):
+    doc = export_json(_small_model())
+    row = doc["facades"]["north"][1]
+    doc["facades"]["north"][1] = row[:2] + cell + row[3:]
+    with pytest.raises(LayoutError, match="facade 'north'"):
+        import_json(doc)
+
+
+@pytest.mark.parametrize("rows", [[], [""], ["", "", ""]])
+def test_import_rejects_facades_without_cells(rows):
+    doc = export_json(_small_model())
+    doc["facades"]["west"] = rows
+    with pytest.raises(LayoutError, match="facade 'west'"):
+        import_json(doc)
+
+
 def test_import_rejects_a_wall_height_below_the_minimum():
     doc = export_json(_small_model())
     doc["wall_height"] = 2

@@ -243,6 +243,22 @@ def test_render_rejects_documents_that_contradict_their_plan(
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("cell", ["2", "x", " ", "_"])
+def test_render_rejects_facade_cells_other_than_0_and_1(capsys, tmp_path,
+                                                       cell):
+    path = tmp_path / "b.json"
+    run(capsys, *GEN77, "--format", "json", "--out", str(path))
+    doc = json.loads(path.read_text())
+    north = doc["facades"]["north"]
+    north[0] = cell + north[0][1:]
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "render", str(path))
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("parse error: facade 'north'")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_render_rejects_invalid_layouts(capsys, tmp_path):
     # Two entrances parse fine but fail plan validation.
     path = tmp_path / "twodoors.txt"
@@ -301,6 +317,22 @@ def test_config_file_rejects_non_integer_fields(capsys, tmp_path):
     rc, _, err = run(capsys, "generate", "--config", str(config))
     assert rc == 2
     assert "'depth' must be an integer" in err
+
+
+def test_config_file_rejects_non_integer_automaton_fields(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    for ca, key in (({"generations": 2.5}, "ca.generations"),
+                    ({"glass_sums": [2.7]}, "ca.glass_sums[0]"),
+                    ({"glass_sums": "23"}, "ca.glass_sums"),
+                    ({"init_glass_probability": "x"},
+                     "ca.init_glass_probability")):
+        config.write_text(json.dumps({"width": 7, "depth": 7, "ca": ca}))
+        rc, out, err = run(capsys, "generate", "--config", str(config))
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(
+            f"invalid configuration: config key '{key}' must be")
 
 
 def test_generate_rejects_more_rooms_than_symbols(capsys, monkeypatch):

@@ -16,7 +16,7 @@ from blockhouse import (
     init_wall,
 )
 
-from helpers import ca_oracle_step
+from helpers import ca_oracle_step, cells_of, wall_of
 
 
 def test_params_defaults():
@@ -51,6 +51,14 @@ def test_matrix_defaults_to_solid():
         WallMatrix(0, 4)
     with pytest.raises(ValueError):
         WallMatrix(3, 0)
+
+
+@pytest.mark.parametrize("bits", [1 << 4, 1 << 15, -1, -(1 << 20)])
+def test_matrix_rejects_bits_outside_its_cells(bits):
+    # 3x4: bits 4, 9 and 14 are spare, and 15 is past the top row.
+    assert WallMatrix(3, 4, 0b1111_01111_01111).glass_count() == 12
+    with pytest.raises(ValueError, match="outside"):
+        WallMatrix(3, 4, bits)
 
 
 def test_matrix_rows_round_trip():
@@ -120,9 +128,58 @@ def test_step_matches_oracle_on_random_walls():
     params = CaParams()
     for _ in range(200):
         cells = [[rng.randint(0, 1) for _ in range(7)] for _ in range(5)]
-        wall = WallMatrix(5, 7, cells)
-        assert ca_step(wall, params).cells == ca_oracle_step(
+        wall = wall_of(cells)
+        assert cells_of(ca_step(wall, params)) == ca_oracle_step(
             wall, params.glass_sums)
+
+
+# Single rows and columns, and rows longer than 64 cells, so the packed
+# step's shifts cross the int's internal digits and machine words.
+ODD_SHAPES = [(1, 1), (1, 9), (9, 1), (1, 70), (70, 1), (3, 70), (70, 3),
+              (5, 7), (4, 64), (2, 65)]
+
+
+@pytest.mark.parametrize("mask", range(64))
+def test_step_matches_oracle_for_every_glass_sum_set(mask):
+    sums = frozenset(k for k in range(6) if mask >> k & 1)
+    params = CaParams(glass_sums=sums)
+    rng = random.Random(mask)
+    for h, l in ODD_SHAPES:
+        for density in (0.2, 0.5, 0.8):
+            cells = [[int(rng.random() < density) for _ in range(l)]
+                     for _ in range(h)]
+            wall = wall_of(cells)
+            stepped = ca_step(wall, params)
+            assert cells_of(stepped) == ca_oracle_step(
+                wall, sums), f"{h}x{l} glass_sums {sorted(sums)}"
+            # No bit outside the cells: the packed form is canonical.
+            assert WallMatrix.from_rows(stepped.rows()) == stepped
+
+
+def test_packed_walls_round_trip_through_rows():
+    rng = random.Random(8)
+    for h, l in ODD_SHAPES:
+        for p in (0.0, 0.3, 1.0):
+            params = CaParams(init_glass_probability=p, generations=2,
+                              glass_sums={0, 1, 4, 5})
+            for wall in (init_wall(h, l, params, rng),
+                         generate_wall(h, l, params, rng)):
+                rows = wall.rows()
+                assert [len(row) for row in rows] == [l] * h
+                assert WallMatrix.from_rows(rows) == wall
+                assert wall.glass_count() == sum(row.count("1")
+                                                 for row in rows)
+                assert rows == ["".join(str(wall.get(r, c))
+                                        for c in range(l))
+                                for r in range(h)]
+
+
+@pytest.mark.parametrize("rows", [
+    [], [""], ["", ""], ["01", "1"], ["0", "01"], ["012"], ["0_1"],
+    [" 01"], ["01 "], ["+1"], ["-1"], ["0b1"], ["\uff11"]])
+def test_from_rows_rejects_malformed_walls(rows):
+    with pytest.raises(ValueError):
+        WallMatrix.from_rows(rows)
 
 
 def test_generate_wall_zero_generations_is_the_seed():

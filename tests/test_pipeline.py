@@ -87,6 +87,25 @@ def test_from_dict_rejects_bad_input():
             RunConfig.from_dict({"width": 7, "depth": 7, key: None})
     assert RunConfig.from_dict({"width": 7, "depth": 7,
                                 "seed": None}).seed is None
+    for ca, key in (({"generations": 2.5}, "ca.generations"),
+                    ({"generations": True}, "ca.generations"),
+                    ({"generations": "3"}, "ca.generations"),
+                    ({"glass_sums": [2.7]}, r"ca.glass_sums\[0\]"),
+                    ({"glass_sums": [2, True]}, r"ca.glass_sums\[1\]"),
+                    ({"glass_sums": "23"}, "ca.glass_sums"),
+                    ({"glass_sums": 2}, "ca.glass_sums"),
+                    ({"init_glass_probability": "x"},
+                     "ca.init_glass_probability"),
+                    ({"init_glass_probability": True},
+                     "ca.init_glass_probability"),
+                    ({"init_glass_probability": None},
+                     "ca.init_glass_probability")):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            RunConfig.from_dict({"width": 7, "depth": 7, "ca": ca})
+    assert RunConfig.from_dict(
+        {"width": 7, "depth": 7,
+         "ca": {"init_glass_probability": 1, "generations": 0,
+                "glass_sums": [0, 5]}}).ca == CaParams(1, 0, {0, 5})
 
 
 @pytest.mark.parametrize("width,depth", [(7, 7), (6, 12), (9, 9)])
