@@ -135,16 +135,14 @@ def assemble(plan: FloorGrid, facades: dict[str, WallMatrix],
 
     levels = height + 2
     walls = [SOLID_WALL] * height
-    voxels = bytearray(bytes([FLOOR_SLAB, *[AIR] * height, ROOF_SLAB])
-                       * (w * d))
+    air_column = bytes([FLOOR_SLAB, *[AIR] * height, ROOF_SLAB])
     wall_column = bytes([FLOOR_SLAB, *walls, ROOF_SLAB])
     door_column = bytes([FLOOR_SLAB, DOOR_OPENING, DOOR_OPENING,
                          *walls[2:], ROOF_SLAB])
-    for i, t in enumerate(plan.cells):
-        if is_room(t) or t == EMPTY:
-            continue  # columns start as air
-        voxels[i * levels:(i + 1) * levels] = (
-            door_column if t == DOOR else wall_column)
+    columns = {t: air_column if is_room(t) or t == EMPTY
+               else door_column if t == DOOR else wall_column
+               for t in set(plan.cells)}
+    voxels = bytearray(b"".join(map(columns.__getitem__, plan.cells)))
 
     # Facades repaint the border columns; later sides win the corners.
     for side in FACADE_ORDER:

@@ -85,16 +85,19 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         data["door_walls"] = args.door_walls
     if args.door_mode is not None:
         data["door_mode"] = args.door_mode
-    ca = dict(data.get("ca", {}))
-    if args.ca_glass_prob is not None:
-        ca["init_glass_probability"] = args.ca_glass_prob
-    if args.ca_generations is not None:
-        ca["generations"] = args.ca_generations
-    if args.ca_glass_sums is not None:
-        ca["glass_sums"] = [int(part) for part in
-                            args.ca_glass_sums.split(",") if part.strip()]
-    if ca:
-        data["ca"] = ca
+    ca = data.get("ca", {})
+    # The flags merge into an object only; from_dict rejects anything else.
+    if isinstance(ca, dict):
+        if args.ca_glass_prob is not None:
+            ca["init_glass_probability"] = args.ca_glass_prob
+        if args.ca_generations is not None:
+            ca["generations"] = args.ca_generations
+        if args.ca_glass_sums is not None:
+            ca["glass_sums"] = [int(part) for part in
+                                args.ca_glass_sums.split(",")
+                                if part.strip()]
+        if ca:
+            data["ca"] = ca
     return RunConfig.from_dict(data).validate()
 
 
@@ -149,6 +152,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
         raise ValueError(f"-n {args.count} must be at least 1")
     if args.workers < 1:
         raise ValueError(f"--workers {args.workers} must be at least 1")
+    import os
+    cpus = os.cpu_count() or 1
+    if args.workers > cpus:
+        raise ValueError(f"--workers {args.workers} is more than the "
+                         f"{cpus} CPUs of this machine")
     master_seed = _resolve_seed(config, "master seed")
     summary = run_batch(config, args.count, master_seed,
                         workers=args.workers)
@@ -197,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("-n", "--count", type=int, default=1000,
                        help="buildings to generate (default 1000)")
     batch.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes (default 1)")
+                       help="parallel worker processes, at most the CPU "
+                            "count (default 1)")
     batch.add_argument("--out", metavar="PATH",
                        help="also write the summary as JSON here")
     batch.set_defaults(func=cmd_batch)

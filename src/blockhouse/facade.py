@@ -11,6 +11,13 @@ always 0. A one-column shift of the whole wall therefore never carries a
 cell into the next row, and one generation is a few dozen bitwise
 operations on the int: the five neighbor-sum inputs are the wall and its
 four shifts, added bit-sliced into three sum planes.
+
+Walls of one length step together as one stack: wall k of the stack
+starts at row k * (height + 1), so an all-zero row lies between each
+wall and the next. A cell next to that row sees a solid neighbor, just
+as at the wall's real edge, and the mask clears whatever a generation
+leaves in it. North and south share a stack, as do east and west, and
+on a square floor all four do.
 """
 
 from __future__ import annotations
@@ -146,14 +153,26 @@ def ca_step(matrix: WallMatrix, params: CaParams) -> WallMatrix:
                                        _valid_cells(h, l), params.glass_sums))
 
 
+def _run_generations(walls: list[WallMatrix],
+                     params: CaParams) -> list[WallMatrix]:
+    # Step walls of one size as a single stack (see the module docstring).
+    h, l, n = walls[0].height, walls[0].length, len(walls)
+    block = (h + 1) * (l + 1)
+    bits = sum(wall.bits << k * block for k, wall in enumerate(walls))
+    # One wall's cells, repeated every block: times the block's repunit.
+    valid = (_valid_cells(h, l)
+             * (((1 << block * n) - 1) // ((1 << block) - 1)))
+    for _ in range(params.generations):
+        bits = _next_bits(bits, l + 1, valid, params.glass_sums)
+    mask = (1 << block) - 1
+    return [WallMatrix(h, l, bits >> k * block & mask) for k in range(n)]
+
+
 def generate_wall(height: int, length: int, params: CaParams,
                   rng: random.Random) -> WallMatrix:
     """Initialize a wall and run it for the configured generations."""
-    bits = init_wall(height, length, params, rng).bits
-    valid = _valid_cells(height, length)
-    for _ in range(params.generations):
-        bits = _next_bits(bits, length + 1, valid, params.glass_sums)
-    return WallMatrix(height, length, bits)
+    return _run_generations([init_wall(height, length, params, rng)],
+                            params)[0]
 
 
 def generate_facades(width: int, depth: int, height: int, params: CaParams,
@@ -161,9 +180,16 @@ def generate_facades(width: int, depth: int, height: int, params: CaParams,
     """The four facades of a width x depth building, keyed by side.
 
     North/south walls run along x (length = width), east/west along z
-    (length = depth). Generation order is fixed (north, east, south,
-    west) so the draw sequence is reproducible.
+    (length = depth). Walls are initialized in a fixed order (north,
+    east, south, west) so the draw sequence is reproducible; walls of
+    equal length then run their generations as one stack.
     """
     lengths = {"north": width, "south": width, "east": depth, "west": depth}
-    return {side: generate_wall(height, lengths[side], params, rng)
-            for side in FACADE_ORDER}
+    walls = {side: init_wall(height, lengths[side], params, rng)
+             for side in FACADE_ORDER}
+    stepped: dict[str, WallMatrix] = {}
+    for length in {width, depth}:
+        sides = [side for side in FACADE_ORDER if lengths[side] == length]
+        stepped.update(zip(sides, _run_generations(
+            [walls[side] for side in sides], params)))
+    return {side: stepped[side] for side in FACADE_ORDER}

@@ -156,13 +156,15 @@ def run_batch(config: RunConfig, n: int, master_seed: int,
               workers: int = 1) -> BatchSummary:
     """Generate n buildings and aggregate their metrics.
 
-    workers > 1 spreads buildings over a process pool; seeds are
-    per-index, so the summary matches the single-worker run exactly
-    (timing aside).
+    workers > 1 spreads buildings over a pool of at most n processes;
+    seeds are per-index, so the summary matches the single-worker run
+    exactly (timing aside).
     """
     config.validate()
     if n < 1:
         raise ValueError(f"batch size {n} must be at least 1")
+    # A pool starts all its processes up front, busy or not.
+    workers = min(workers, n)
     start = time.perf_counter()
     if workers <= 1:
         per_building = [_measure_one(config, master_seed, i)

@@ -64,31 +64,44 @@ def room_count(width: int, depth: int) -> int:
 
 def _seed_fits(grid: FloorGrid, x: int, z: int) -> bool:
     # The 2x2 square at (x, z) must sit on empty tiles and must not touch
-    # another room orthogonally. Diagonal contact is allowed.
-    cells, d = grid.cells, grid.depth
+    # another room orthogonally: none of the eight tiles that share an
+    # edge with it is a room tile. Diagonal contact is allowed.
+    c, d = grid.cells, grid.depth
     i = x * d + z
-    for s in (i, i + d, i + 1, i + d + 1):
-        if cells[s] != EMPTY:
-            return False
-        if (cells[s - d] >= 0 or cells[s + d] >= 0
-                or cells[s - 1] >= 0 or cells[s + 1] >= 0):
-            return False
-    return True
+    j = i + d
+    return (c[i] == EMPTY and c[i + 1] == EMPTY
+            and c[j] == EMPTY and c[j + 1] == EMPTY
+            and c[i - 1] < 0 and c[i + 2] < 0
+            and c[j - 1] < 0 and c[j + 2] < 0
+            and c[i - d] < 0 and c[i - d + 1] < 0
+            and c[j + d] < 0 and c[j + d + 1] < 0)
 
 
 def place_rooms(grid: FloorGrid, count: int, rng: random.Random,
                 max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> list[Room]:
     """Drop up to `count` 2x2 room seeds at random interior positions.
 
-    Each room gets `max_attempts` uniform draws of its min corner; a room
-    that never finds legal space is dropped (its id is not reused). Raises
-    PlacementError only if no room at all could be placed.
+    Each room gets up to `max_attempts` uniform draws of its min corner; a
+    room that never finds legal space is dropped (its id is not reused).
+    Placing a seed only fills empty tiles, so a corner where no seed fits
+    never fits again: once no corner is left, the remaining rooms are
+    dropped undrawn. Raises PlacementError only if no room at all could
+    be placed.
     """
+    hi_x, hi_z = grid.width - 3, grid.depth - 3
+    # Corner c is (1 + c // hi_z, 1 + c % hi_z), x-major; every corner
+    # before `first` is known not to fit.
+    first, corners = 0, hi_x * hi_z
     rooms: list[Room] = []
     for room_id in range(count):
+        while first < corners and not _seed_fits(
+                grid, 1 + first // hi_z, 1 + first % hi_z):
+            first += 1
+        if first == corners:
+            break
         for _ in range(max_attempts):
-            x = rng.randint(1, grid.width - 3)
-            z = rng.randint(1, grid.depth - 3)
+            x = rng.randint(1, hi_x)
+            z = rng.randint(1, hi_z)
             if _seed_fits(grid, x, z):
                 square = {(x, z), (x + 1, z), (x, z + 1), (x + 1, z + 1)}
                 for sx, sz in square:

@@ -396,3 +396,63 @@ def test_module_main_guard():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("ca", [[2, 3], None, "x", 5])
+@pytest.mark.parametrize("flags", [(), ("--ca-generations", "3")])
+def test_config_file_rejects_automaton_settings_that_are_not_an_object(
+        capsys, tmp_path, ca, flags):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"width": 7, "depth": 7, "ca": ca}))
+    rc, out, err = run(capsys, "generate", "--config", str(config), *flags)
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "invalid configuration: 'ca' must be an object of automaton "
+        "settings"]
+
+
+def test_automaton_flags_merge_into_the_config_object(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"width": 7, "depth": 7, "seed": 5,
+                                  "ca": {"generations": 1}}))
+    rc, out, _ = run(capsys, "generate", "--config", str(config),
+                     "--format", "json", "--ca-glass-sums", "1,4")
+    assert rc == 0
+    ca = json.loads(out)["config"]["ca"]
+    assert ca["generations"] == 1
+    assert ca["glass_sums"] == [1, 4]
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if a process pool is ever constructed."""
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+@pytest.mark.parametrize("cpus,workers", [(2, 3), (4, 64), (None, 2)])
+def test_batch_rejects_more_workers_than_cpus(capsys, monkeypatch, no_pool,
+                                              cpus, workers):
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    rc, out, err = run(capsys, "batch", "--width", "7", "--depth", "7",
+                       "--seed", "1", "-n", "4", "--workers", str(workers))
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"invalid configuration: --workers {workers} is more than the "
+        f"{cpus or 1} CPUs of this machine"]
+
+
+def test_batch_accepts_workers_up_to_the_cpu_count(capsys, monkeypatch,
+                                                   no_pool):
+    # One building needs no pool, whatever --workers asks for.
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    rc, out, _ = run(capsys, "batch", "--width", "7", "--depth", "7",
+                     "--seed", "1", "-n", "1", "--workers", "8")
+    assert rc == 0
+    assert out.splitlines()[0].split() == ["buildings", "1"]

@@ -204,3 +204,28 @@ def test_import_leaves_statistics_and_the_process_pool_unloaded():
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+class PoolRequested(Exception):
+    pass
+
+
+def test_batch_starts_no_more_workers_than_buildings(monkeypatch):
+    # Only the requested pool size is checked; no process is started.
+    import concurrent.futures
+
+    requested = []
+
+    def record(max_workers=None, **kwargs):
+        requested.append(max_workers)
+        raise PoolRequested
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
+    config = RunConfig(width=7, depth=7, room_policy=RoomCountPolicy(3))
+    with pytest.raises(PoolRequested):
+        run_batch(config, 3, master_seed=8, workers=64)
+    assert requested == [3]
+    single = run_batch(config, 1, master_seed=8, workers=64)
+    assert requested == [3]
+    assert _stable_fields(single) == _stable_fields(
+        run_batch(config, 1, master_seed=8, workers=1))
