@@ -110,7 +110,7 @@ def place_rooms(grid: FloorGrid, count: int, rng: random.Random,
                 break
     if not rooms:
         raise PlacementError(
-            f"no room could be placed in {max_attempts} attempts each")
+            f"no room could be placed in up to {max_attempts} attempts each")
     return rooms
 
 
