@@ -24,7 +24,7 @@ from .assembly import (
 from .doors import DOOR_MODES, WALL_RULES, EntranceError, RepairError
 from .grid import DimensionError
 from .metrics import BatchError, measure_building, run_batch
-from .pipeline import RunConfig, generate_building
+from .pipeline import INT_KEYS, RunConfig, generate_building
 from .rooms import PlacementError
 
 _STAGE_NAMES = {
@@ -75,7 +75,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"config file {args.config} must hold a "
                              "JSON object")
         data.update(loaded)
-    for key in ("width", "depth", "height", "seed", "max_attempts"):
+    for key in INT_KEYS:
         value = getattr(args, key)
         if value is not None:
             data[key] = value

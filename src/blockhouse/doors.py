@@ -2,14 +2,16 @@
 
 Doors go one at a time into wall tiles that sit between two different
 rooms (or next to an existing door), re-checking legality after every
-placement until no legal site remains. A repair step can force doors
-through walls that separate disconnected regions, so every finished
-plan is traversable.
+placement until no legal site remains; saturate keeps the legal sites
+as a sorted list of int keys and re-checks only the tiles a door
+changed. A repair step can force doors through walls that separate
+disconnected regions, so every finished plan is traversable.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,7 +23,6 @@ from .grid import (
     INTERIOR_WALL,
     Coord,
     FloorGrid,
-    is_passable,
     is_room,
 )
 from .rooms import Room
@@ -85,37 +86,40 @@ def wallify_leftovers(grid: FloorGrid) -> None:
             cells[i] = INTERIOR_WALL
 
 
-def _joinable(a: int, b: int) -> bool:
-    # Passage requires rooms or doors on both sides, and they must differ
-    # as rooms unless a door is among them.
-    if not (is_room(a) or a == DOOR) or not (is_room(b) or b == DOOR):
-        return False
-    return a == DOOR or b == DOOR or a != b
-
-
 def _axis_pairs(i: int, depth: int) -> tuple[tuple[str, int, int], ...]:
     # The two tiles a door at interior index i would join, per axis, x
     # axis first.
     return (("x", i - depth, i + depth), ("z", i - 1, i + 1))
 
 
-def _tile_sites(grid: FloorGrid, i: int, wall_rule: str) -> list[DoorSite]:
-    # Current-state legality of the interior tile at flat index i: its
-    # legal sites, x axis first. A site needs a wall among the four
+def _tile_sites(cells: list[int], d: int, i: int,
+                wall_rule: str) -> list[int]:
+    # Current-state legality of the interior tile at flat index i: the
+    # keys 2 * i + (axis == "z") of its legal sites, x axis first, which
+    # sort like the sites themselves. A site needs a wall among the four
     # neighbors ("any" counts the border ring as wall).
-    cells, d = grid.cells, grid.depth
     if cells[i] != INTERIOR_WALL:
         return []
     around = (cells[i + d], cells[i - d], cells[i + 1], cells[i - 1])
     if INTERIOR_WALL not in around and (
             wall_rule != "any" or EXTERIOR_WALL not in around):
         return []
-    sites = []
-    for axis, a, b in _axis_pairs(i, d):
-        ta, tb = cells[a], cells[b]
-        if _joinable(ta, tb):
-            sites.append(DoorSite(divmod(i, d), axis, (ta, tb)))
-    return sites
+    keys = []
+    for k, (_, a, b) in enumerate(_axis_pairs(i, d)):
+        a, b = cells[a], cells[b]
+        # Passage needs a room or door on both sides, and two different
+        # rooms unless a door is among them.
+        if ((a >= 0 or a == DOOR) and (b >= 0 or b == DOOR)
+                and (a != b or a == DOOR)):
+            keys.append(2 * i + k)
+    return keys
+
+
+def _site(cells: list[int], d: int, key: int) -> DoorSite:
+    # The site with key 2 * i + (axis == "z"), joining the current tiles.
+    i = key >> 1
+    axis, a, b = _axis_pairs(i, d)[key & 1]
+    return DoorSite(divmod(i, d), axis, (cells[a], cells[b]))
 
 
 def legal_door_sites(grid: FloorGrid,
@@ -123,42 +127,37 @@ def legal_door_sites(grid: FloorGrid,
     """All (wall tile, axis) pairs where a door may go right now."""
     if wall_rule not in WALL_RULES:
         raise ValueError(f"unknown wall rule {wall_rule!r}")
-    return {site for i in grid.interior_indices()
-            for site in _tile_sites(grid, i, wall_rule)}
+    cells, d = grid.cells, grid.depth
+    return {_site(cells, d, key) for i in grid.interior_indices()
+            for key in _tile_sites(cells, d, i, wall_rule)}
 
 
 def apply_door(grid: FloorGrid, site: DoorSite,
-               room_map: dict[int, Room] | None = None) -> None:
+               room_map: dict[int, Room] | None = None) -> list[Coord]:
     """Put a door at the site and wall off its two flanking tiles.
 
     Only room tiles are converted to wall; doors and border walls beside
-    the new door are left alone. room_map, when given, keeps Room.tiles
-    in sync with the conversions.
+    the new door are left alone. Returns the flanks it converted.
+    room_map, when given, keeps Room.tiles in sync with the conversions.
     """
     x, z = site.position
     grid.put(x, z, DOOR)
+    cells, d = grid.cells, grid.depth
+    converted = []
     for fx, fz in site.flanks():
         t = grid.get(fx, fz)
         if is_room(t):
-            grid.put(fx, fz, INTERIOR_WALL)
+            cells[fx * d + fz] = INTERIOR_WALL
+            converted.append((fx, fz))
             if room_map is not None and t in room_map:
                 room_map[t].tiles.discard((fx, fz))
+    return converted
 
 
 def _room_map(rooms: Iterable[Room] | None) -> dict[int, Room] | None:
     if rooms is None:
         return None
     return {room.id: room for room in rooms}
-
-
-def _site_at(grid: FloorGrid, i: int, wall_rule: str,
-             rng: random.Random) -> DoorSite | None:
-    # Picks an axis at random on the rare cross-shaped tile where both
-    # axes qualify.
-    options = _tile_sites(grid, i, wall_rule)
-    if not options:
-        return None
-    return options[0] if len(options) == 1 else rng.choice(options)
 
 
 def place_doors(grid: FloorGrid, rng: random.Random,
@@ -172,7 +171,9 @@ def place_doors(grid: FloorGrid, rng: random.Random,
     conversions can open or close nearby sites; this is what lets
     adjacent doors and short hallways form. The sweep visits each
     starting wall tile once, while saturate keeps going until no legal
-    site exists anywhere.
+    site exists anywhere. Saturate draws from one sorted list of site
+    keys (`2 * index + (axis == "z")`) kept with `bisect`, re-checking
+    only the door tile, the flanks it converted and their neighbors.
     """
     if mode not in DOOR_MODES:
         raise ValueError(f"unknown door mode {mode!r}")
@@ -186,36 +187,33 @@ def place_doors(grid: FloorGrid, rng: random.Random,
                  if cells[i] == INTERIOR_WALL]
         rng.shuffle(tiles)
         for i in tiles:
-            site = _site_at(grid, i, wall_rule, rng)
-            if site is not None:
+            keys = _tile_sites(cells, d, i, wall_rule)
+            if keys:  # both axes qualify only on rare cross-shaped tiles
+                site = _site(cells, d, keys[0] if len(keys) == 1
+                             else rng.choice(keys))
                 apply_door(grid, site, room_map)
                 placed.append(site)
         return placed
-    # Every legal site keyed by 2 * index + (axis == "z"), which sorts the
-    # same way as the sites themselves. A door changes only its own tile
-    # and its flanks, so only those and their neighbors can change
-    # legality; of those, only interior tiles can hold a site.
-    sites: dict[int, DoorSite] = {}
-    inside = set(grid.interior_indices())
-
-    def refresh(i: int) -> None:
-        sites.pop(2 * i, None)
-        sites.pop(2 * i + 1, None)
-        for site in _tile_sites(grid, i, wall_rule):
-            sites[2 * i + (site.axis == "z")] = site
-
-    for i in inside:
-        refresh(i)
-    while sites:
-        key = rng.choice(sorted(sites))
-        site = sites[key]
-        apply_door(grid, site, room_map)
-        placed.append(site)
+    # A door changes only its own tile and the flanks it converts, so
+    # only those and their neighbors can change legality. The door loses
+    # its keys; of the rest, only walls can have any, and the flanks are
+    # among the door's neighbors.
+    keys = [key for i in grid.interior_indices() if cells[i] == INTERIOR_WALL
+            for key in _tile_sites(cells, d, i, wall_rule)]
+    while keys:
+        key = rng.choice(keys)
+        site = _site(cells, d, key)
         i = key >> 1
-        changed = (i, i - 1, i + 1) if site.axis == "x" else (i, i - d, i + d)
-        for j in {n for c in changed for n in (c, c - d, c + d, c - 1, c + 1)}:
-            if j in inside:
-                refresh(j)
+        flanks = apply_door(grid, site, room_map)
+        placed.append(site)
+        lo = bisect_left(keys, 2 * i)
+        del keys[lo:bisect_left(keys, 2 * i + 2, lo)]
+        changed = [i] + [x * d + z for x, z in flanks]
+        for j in {n for c in changed for n in (c - d, c + d, c - 1, c + 1)
+                  if cells[n] == INTERIOR_WALL}:
+            lo = bisect_left(keys, 2 * j)
+            keys[lo:bisect_left(keys, 2 * j + 2, lo)] = _tile_sites(
+                cells, d, j, wall_rule)
     return placed
 
 
@@ -258,7 +256,10 @@ def _components(grid: FloorGrid) -> list[list[int]]:
     # first, ties broken by the smallest index. A group's first index is
     # its smallest, since the scan starts every group there.
     cells, w, d = grid.cells, grid.width, grid.depth
-    todo = [is_passable(t) for t in cells]  # passable and not yet reached
+    inner = bytearray(len(cells))  # 1 on interior tiles
+    inner[d:-d] = (b"\0" + b"\1" * (d - 2) + b"\0") * (w - 2)
+    # Passable and not yet reached.
+    todo = [t >= 0 or t == DOOR or t == EXTERIOR_DOOR for t in cells]
     components = []
     for start, pending in enumerate(todo):
         if not pending:
@@ -269,10 +270,10 @@ def _components(grid: FloorGrid) -> list[list[int]]:
         while stack:
             i = stack.pop()
             comp.append(i)
-            x, z = divmod(i, d)
-            if 0 < x < w - 1 and 0 < z < d - 1:
+            if inner[i]:
                 around = (i + d, i - d, i + 1, i - 1)
             else:  # border tiles: index arithmetic would wrap
+                x, z = divmod(i, d)
                 around = [nx * d + nz for nx, nz in grid.neighbors4(x, z)]
             for n in around:
                 if todo[n]:
@@ -319,18 +320,17 @@ def repair_connectivity(grid: FloorGrid, rng: random.Random,
         for k, comp in enumerate(components):
             for i in comp:
                 comp_of[i] = k
-        bridges: list[DoorSite] = []
+        bridges: list[int] = []  # site keys, ascending
         for i in grid.interior_indices():
             if cells[i] != INTERIOR_WALL:
                 continue
-            for axis, a, b in _axis_pairs(i, d):
+            for k, (_, a, b) in enumerate(_axis_pairs(i, d)):
                 ca, cb = comp_of[a], comp_of[b]
                 if ca >= 0 and cb >= 0 and ca != cb:
-                    bridges.append(
-                        DoorSite(divmod(i, d), axis, (cells[a], cells[b])))
+                    bridges.append(2 * i + k)
         if not bridges:
             raise RepairError(
                 f"{len(components)} regions cannot be joined by a "
                 "single door anywhere")
-        apply_door(grid, rng.choice(sorted(bridges)), room_map)
+        apply_door(grid, _site(cells, d, rng.choice(bridges)), room_map)
         repairs += 1

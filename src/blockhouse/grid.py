@@ -49,7 +49,7 @@ def is_passable(tile: int) -> bool:
 
 
 class DimensionError(ValueError):
-    """A requested grid dimension is below the supported minimum."""
+    """A requested dimension is outside the supported range."""
 
 
 class FloorGrid:

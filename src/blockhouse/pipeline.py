@@ -36,6 +36,14 @@ from .rooms import (
 )
 
 
+# Floors up to a GDMC build area's 256 blocks; the height + 2 levels
+# (floor and roof included) must fit Minecraft's 256-block height.
+MAX_DIMENSION = 256
+MAX_HEIGHT = 254
+# The config keys that hold plain integers, each also a CLI flag.
+INT_KEYS = ("width", "depth", "height", "seed", "max_attempts")
+
+
 def _require(key: str, value, types: tuple = (int,),
              what: str = "an integer") -> None:
     # An exact type test: bool is an int subclass, and 7.9 or true must
@@ -60,15 +68,16 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Check every field against the stage preconditions; returns
         self so calls can chain."""
-        if self.width < MIN_DIMENSION:
-            raise DimensionError(
-                f"width {self.width} is too small (minimum {MIN_DIMENSION})")
-        if self.depth < MIN_DIMENSION:
-            raise DimensionError(
-                f"depth {self.depth} is too small (minimum {MIN_DIMENSION})")
-        if self.height < MIN_HEIGHT:
-            raise DimensionError(
-                f"height {self.height} is too small (minimum {MIN_HEIGHT})")
+        for key, low, high in (("width", MIN_DIMENSION, MAX_DIMENSION),
+                               ("depth", MIN_DIMENSION, MAX_DIMENSION),
+                               ("height", MIN_HEIGHT, MAX_HEIGHT)):
+            value = getattr(self, key)
+            if value < low:
+                raise DimensionError(
+                    f"{key} {value} is too small (minimum {low})")
+            if value > high:
+                raise DimensionError(
+                    f"{key} {value} is too large (maximum {high})")
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts {self.max_attempts} must be at least 1")
@@ -127,7 +136,7 @@ class RunConfig:
             ca_kwargs["glass_sums"] = frozenset(sums)
         rooms_text = data.pop("rooms", None)
         kwargs: dict = {}
-        for key in ("width", "depth", "height", "seed", "max_attempts"):
+        for key in INT_KEYS:
             if key in data:
                 value = data.pop(key)
                 # Only the seed may be null (drawn at random).

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .grid import EMPTY, Coord, FloorGrid
@@ -114,8 +115,9 @@ def place_rooms(grid: FloorGrid, count: int, rng: random.Random,
     return rooms
 
 
-def _frontier(grid: FloorGrid, room: Room) -> set[int]:
-    # Flat indices of the room's growth candidates (see growth_candidates).
+def _frontier(grid: FloorGrid, room: Room) -> list[int]:
+    # Sorted flat indices of the room's growth candidates (see
+    # growth_candidates).
     cells, d, rid = grid.cells, grid.depth, room.id
     out: set[int] = set()
     for x, z in room.tiles:
@@ -125,7 +127,7 @@ def _frontier(grid: FloorGrid, room: Room) -> set[int]:
                     (t := cells[m]) >= 0 and t != rid
                     for m in (n + d, n - d, n + 1, n - 1)):
                 out.add(n)
-    return out
+    return sorted(out)
 
 
 def growth_candidates(grid: FloorGrid, room: Room) -> set[Coord]:
@@ -136,13 +138,13 @@ def growth_candidates(grid: FloorGrid, room: Room) -> set[Coord]:
 
 
 def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random,
-                frontiers: dict[int, set[int]] | None = None) -> int:
+                frontiers: dict[int, list[int]] | None = None) -> int:
     """One full round of turns: shuffle the order, then let each room claim
     one candidate tile. Returns how many tiles were claimed.
 
-    frontiers maps each room id to the flat indices (`x * depth + z`) of
-    its `growth_candidates` and is kept up to date claim by claim; when
-    omitted, it is built for this pass.
+    frontiers maps each room id to the sorted flat indices (`x * depth +
+    z`) of its `growth_candidates`, kept up to date claim by claim with
+    `bisect`; when omitted, it is built for this pass.
     """
     if frontiers is None:
         frontiers = {room.id: _frontier(grid, room) for room in rooms}
@@ -155,28 +157,34 @@ def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random,
         if not candidates:
             continue  # skipped, not removed; it may simply be walled in
         rid = room.id
-        i = rng.choice(sorted(candidates))
+        i = rng.choice(candidates)
+        del candidates[bisect_left(candidates, i)]
         cells[i] = rid
         room.tiles.add(divmod(i, d))
         claimed += 1
         # Only this room could have had i as a candidate, since it touched
         # no other room. Its empty neighbors now touch this room: they
         # leave the other rooms' frontiers and join this one unless
-        # another room bars them. Growth never empties a tile, so a barred
-        # tile stays barred and no other frontier can change.
-        candidates.discard(i)
+        # another room bars them or they are in it already (they touched
+        # it beside i). Growth never empties a tile, so a barred tile
+        # stays barred and no other frontier can change.
         for n in (i + d, i - d, i + 1, i - 1):
             if cells[n] != EMPTY:
                 continue
-            barred = False
+            barred = present = False
             for m in (n + d, n - d, n + 1, n - 1):
                 t = cells[m]
-                if t >= 0 and t != rid:
+                if t == rid:
+                    if m != i:
+                        present = True
+                elif t >= 0:
                     barred = True
-                    if t in frontiers:
-                        frontiers[t].discard(n)
-            if not barred:
-                candidates.add(n)
+                    other = frontiers.get(t, [])
+                    k = bisect_left(other, n)
+                    if k < len(other) and other[k] == n:
+                        del other[k]
+            if not barred and not present:
+                insort(candidates, n)
     return claimed
 
 

@@ -81,6 +81,28 @@ def test_generate_rejects_small_width(capsys):
     assert "invalid configuration" in err
 
 
+@pytest.mark.parametrize("key,value,limit", [
+    ("width", 257, 256), ("depth", 257, 256), ("height", 255, 254)])
+@pytest.mark.parametrize("command", ["generate", "batch"])
+def test_dimensions_above_the_maximum_exit_two(capsys, monkeypatch, tmp_path,
+                                               command, key, value, limit):
+    def never(*args, **kwargs):
+        raise AssertionError("generated a building past the size limit")
+
+    monkeypatch.setattr("blockhouse.cli.generate_building", never)
+    monkeypatch.setattr("blockhouse.cli.run_batch", never)
+    sizes = {"width": 7, "depth": 7, key: value}
+    expected = [f"invalid configuration: {key} {value} is too large "
+                f"(maximum {limit})"]
+    flags = [f"--{k}={v}" for k, v in sizes.items()]
+    rc, out, err = run(capsys, command, *flags)
+    assert (rc, out, err.splitlines()) == (2, "", expected)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(sizes))
+    rc, out, err = run(capsys, command, "--config", str(config))
+    assert (rc, out, err.splitlines()) == (2, "", expected)
+
+
 def test_generate_rejects_bad_rooms_policy(capsys):
     rc, _, err = run(capsys, *GEN77, "--rooms", "explicit:zero")
     assert rc == 2

@@ -158,7 +158,8 @@ def test_apply_door_converts_room_flanks():
 #####
 """)
     room = Room(0, (1, 1), set(grid.find(0)))
-    apply_door(grid, DoorSite((2, 2), "x", (0, 0)), {0: room})
+    converted = apply_door(grid, DoorSite((2, 2), "x", (0, 0)), {0: room})
+    assert converted == [(2, 1), (2, 3)]
     assert grid.get(2, 2) == DOOR
     assert grid.get(2, 1) == INTERIOR_WALL
     assert grid.get(2, 3) == INTERIOR_WALL
@@ -177,10 +178,15 @@ def test_apply_door_leaves_wall_and_border_flanks_alone():
 #011#
 #####
 """)
-    apply_door(grid, DoorSite((2, 1), "x", (0, 1)))
+    # Only the room flank at (2, 2) is converted and returned.
+    assert apply_door(grid, DoorSite((2, 1), "x", (0, 1))) == [(2, 2)]
     assert grid.get(2, 1) == DOOR
     assert grid.get(2, 0) == EXTERIOR_WALL
     assert grid.get(2, 2) == INTERIOR_WALL
+    # Both flanks are interior walls already.
+    grid = parse_ascii(PLAN_ONE_SITE)
+    assert apply_door(grid, DoorSite((3, 2), "x", (0, 1))) == []
+    assert grid.get(3, 1) == grid.get(3, 3) == INTERIOR_WALL
 
 
 def test_place_doors_on_one_site_fixture():
@@ -292,6 +298,49 @@ def test_components_match_flood_fill_oracle():
         oracle = passable_components(grid)
         assert set(report.components) == set(oracle)
         assert report.component_count == len(oracle)
+
+
+SIDES = {"x = 0": lambda w, d, x, z: x == 0,
+         "x = w - 1": lambda w, d, x, z: x == w - 1,
+         "z = 0": lambda w, d, x, z: z == 0,
+         "z = d - 1": lambda w, d, x, z: z == d - 1}
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("width,depth", [(9, 9), (7, 12), (13, 6)])
+def test_components_match_oracle_with_entrance_on_each_side(width, depth,
+                                                             side):
+    # Border tiles take the coordinate path: on them, index offsets wrap
+    # to the far side of the floor or the next column.
+    on_side = SIDES[side]
+    for seed in range(4):
+        grid, rooms = _grown(seed, width, depth)
+        place_doors(grid, derive_rng(seed, "doors"), rooms=rooms)
+        for x, z in grid.border():
+            corner = len(grid.neighbors4(x, z)) == 2
+            if corner or not on_side(width, depth, x, z):
+                continue
+            carved = grid.copy()
+            carved.put(x, z, EXTERIOR_DOOR)
+            report = connected_components(carved)
+            assert set(report.components) == set(passable_components(carved))
+
+
+@pytest.mark.parametrize("width,depth", [(9, 9), (7, 12), (13, 6)])
+def test_components_keep_border_openings_apart(width, depth):
+    # Every non-corner border tile is an opening and the interior is all
+    # wall, so each side is its own component. Index offsets on a border
+    # tile would reach the far end of the next or previous column, or the
+    # opposite side, and join them.
+    grid = FloorGrid(width, depth)
+    wallify_leftovers(grid)
+    for x, z in grid.border():
+        if len(grid.neighbors4(x, z)) == 3:
+            grid.put(x, z, EXTERIOR_DOOR)
+    report = connected_components(grid)
+    assert set(report.components) == set(passable_components(grid))
+    assert sorted(len(c) for c in report.components) == sorted(
+        [width - 2, width - 2, depth - 2, depth - 2])
 
 
 def test_components_ordered_largest_first():

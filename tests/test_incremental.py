@@ -1,12 +1,13 @@
 """Oracle tests for the plan stage's two incremental loops.
 
-Growth keeps each room's frontier up to date claim by claim, and
-saturate door placement keeps a map of legal sites up to date door by
-door. The references below are the rescanning algorithms they replace:
-growth recomputes `growth_candidates` on every turn, and saturate
-recomputes `legal_door_sites` after every door. Both draw from the same
-sorted lists, so for every seed the library must consume the same
-random numbers and build exactly the same plan.
+Growth keeps each room's frontier, a sorted list of tile indices, up to
+date claim by claim, and saturate door placement keeps a sorted list of
+legal site keys up to date door by door. The references below are the
+rescanning algorithms they replace: growth recomputes
+`growth_candidates` on every turn, and saturate recomputes
+`legal_door_sites` after every door. Both draw from the same sorted
+lists, so for every seed the library must consume the same random
+numbers and build exactly the same plan.
 """
 
 import copy
@@ -113,16 +114,19 @@ def test_grow_rooms_matches_rescanning_growth(width, depth, count, seed,
 @given(sizes, sizes, room_counts, seeds, obstacle_shares)
 def test_frontiers_equal_growth_candidates_after_every_pass(
         width, depth, count, seed, obstacles):
-    # growth_pass keeps each frontier as flat indices x * depth + z.
+    # growth_pass keeps each frontier as a sorted list of flat indices
+    # x * depth + z.
     grid, rooms = seeded_floor(width, depth, count, seed, obstacles)
     rng = derive_rng(seed, "growth")
-    frontiers = {room.id: {x * depth + z
-                           for x, z in growth_candidates(grid, room)}
+    frontiers = {room.id: sorted(x * depth + z
+                                 for x, z in growth_candidates(grid, room))
                  for room in rooms}
     while rooms and growth_pass(grid, rooms, rng, frontiers):
         for room in rooms:
-            assert ({divmod(i, depth) for i in frontiers[room.id]}
+            frontier = frontiers[room.id]
+            assert ({divmod(i, depth) for i in frontier}
                     == growth_candidates(grid, room))
+            assert all(a < b for a, b in zip(frontier, frontier[1:]))
     # The final pass claimed nothing because every frontier is empty.
     assert all(not growth_candidates(grid, room) for room in rooms)
 

@@ -33,12 +33,23 @@ def test_validate_rejects_bad_fields():
         RunConfig(width=7, depth=4).validate()
     with pytest.raises(DimensionError):
         RunConfig(width=7, depth=7, height=2).validate()
+    with pytest.raises(DimensionError, match="width 257 is too large"):
+        RunConfig(width=257, depth=7).validate()
+    with pytest.raises(DimensionError, match="depth 257 is too large"):
+        RunConfig(width=7, depth=257).validate()
+    with pytest.raises(DimensionError, match="height 255 is too large"):
+        RunConfig(width=7, depth=7, height=255).validate()
     with pytest.raises(ValueError):
         RunConfig(width=7, depth=7, max_attempts=0).validate()
     with pytest.raises(ValueError):
         RunConfig(width=7, depth=7, wall_rule="sturdy").validate()
     with pytest.raises(ValueError):
         RunConfig(width=7, depth=7, door_mode="greedy").validate()
+
+
+def test_validate_accepts_the_largest_dimensions():
+    # height + 2 levels fill Minecraft's 256-block build height.
+    RunConfig(width=256, depth=256, height=254).validate()
 
 
 def test_with_seed_copies():
