@@ -271,7 +271,9 @@ def import_json(doc: dict) -> BuildingModel:
         raise LayoutError(f"unsupported schema_version {version!r}")
     try:
         plan = parse_ascii("\n".join(doc["plan"]))
-        height = int(doc["wall_height"])
+        height = doc["wall_height"]
+        if type(height) is not int:  # not 4.0, "4" or true
+            raise LayoutError(f"wall_height {height!r} is not an integer")
         facades = {}
         for side in FACADE_ORDER:
             try:
@@ -279,7 +281,10 @@ def import_json(doc: dict) -> BuildingModel:
             except ValueError as exc:
                 raise LayoutError(f"facade '{side}': {exc}") from exc
         vox = doc["voxels"]
-        w, levels, d = vox["size"]
+        size = vox["size"]
+        if len(size) != 3:
+            raise LayoutError(f"voxels.size must hold 3 numbers, not {size!r}")
+        w, levels, d = size
         codes = [BLOCK_CODES[name] for name in vox["palette"]]
         blocks = vox["blocks"]
         if len(blocks) != w * d * levels:
@@ -291,7 +296,7 @@ def import_json(doc: dict) -> BuildingModel:
                 f"negative palette index {min(blocks)} in voxels.blocks")
         voxels = bytearray(map(codes.__getitem__, blocks))
         entrance = tuple(doc["entrance"]) if doc.get("entrance") else None
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, DimensionError) as exc:
         raise LayoutError(f"malformed building document: {exc}") from exc
     try:
         model = assemble(plan, facades, height)

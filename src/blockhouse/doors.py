@@ -63,20 +63,6 @@ class DoorSite:
     axis: str
     joined: tuple[int, int]
 
-    def through(self) -> tuple[Coord, Coord]:
-        """The two tiles the door connects."""
-        x, z = self.position
-        if self.axis == "x":
-            return ((x - 1, z), (x + 1, z))
-        return ((x, z - 1), (x, z + 1))
-
-    def flanks(self) -> tuple[Coord, Coord]:
-        """The two tiles beside the door, perpendicular to passage."""
-        x, z = self.position
-        if self.axis == "x":
-            return ((x, z - 1), (x, z + 1))
-        return ((x - 1, z), (x + 1, z))
-
 
 def wallify_leftovers(grid: FloorGrid) -> None:
     """Turn every interior tile the growth stage left empty into wall."""
@@ -84,12 +70,6 @@ def wallify_leftovers(grid: FloorGrid) -> None:
     for i in grid.interior_indices():
         if cells[i] == EMPTY:
             cells[i] = INTERIOR_WALL
-
-
-def _axis_pairs(i: int, depth: int) -> tuple[tuple[str, int, int], ...]:
-    # The two tiles a door at interior index i would join, per axis, x
-    # axis first.
-    return (("x", i - depth, i + depth), ("z", i - 1, i + 1))
 
 
 def _tile_sites(cells: list[int], d: int, i: int,
@@ -100,26 +80,45 @@ def _tile_sites(cells: list[int], d: int, i: int,
     # neighbors ("any" counts the border ring as wall).
     if cells[i] != INTERIOR_WALL:
         return []
-    around = (cells[i + d], cells[i - d], cells[i + 1], cells[i - 1])
+    xa, xb, za, zb = around = (cells[i - d], cells[i + d],
+                               cells[i - 1], cells[i + 1])
     if INTERIOR_WALL not in around and (
             wall_rule != "any" or EXTERIOR_WALL not in around):
         return []
+    # Passage needs a room or door on both sides, and two different
+    # rooms unless a door is among them.
     keys = []
-    for k, (_, a, b) in enumerate(_axis_pairs(i, d)):
-        a, b = cells[a], cells[b]
-        # Passage needs a room or door on both sides, and two different
-        # rooms unless a door is among them.
-        if ((a >= 0 or a == DOOR) and (b >= 0 or b == DOOR)
-                and (a != b or a == DOOR)):
-            keys.append(2 * i + k)
+    if ((xa >= 0 or xa == DOOR) and (xb >= 0 or xb == DOOR)
+            and (xa != xb or xa == DOOR)):
+        keys.append(2 * i)
+    if ((za >= 0 or za == DOOR) and (zb >= 0 or zb == DOOR)
+            and (za != zb or za == DOOR)):
+        keys.append(2 * i + 1)
     return keys
 
 
 def _site(cells: list[int], d: int, key: int) -> DoorSite:
     # The site with key 2 * i + (axis == "z"), joining the current tiles.
-    i = key >> 1
-    axis, a, b = _axis_pairs(i, d)[key & 1]
-    return DoorSite(divmod(i, d), axis, (cells[a], cells[b]))
+    i, step = key >> 1, 1 if key & 1 else d
+    return DoorSite(divmod(i, d), "xz"[key & 1],
+                    (cells[i - step], cells[i + step]))
+
+
+def _cut(cells: list[int], d: int, key: int,
+         room_map: dict[int, Room]) -> list[int]:
+    # A door at site key, then the flank rule: room tiles beside it turn
+    # to wall. Returns the indices converted, dropped from Room.tiles.
+    i, step = key >> 1, d if key & 1 else 1
+    cells[i] = DOOR
+    converted = []
+    for f in (i - step, i + step):
+        t = cells[f]
+        if t >= 0:
+            cells[f] = INTERIOR_WALL
+            converted.append(f)
+            if t in room_map:
+                room_map[t].tiles.discard(divmod(f, d))
+    return converted
 
 
 def legal_door_sites(grid: FloorGrid,
@@ -140,24 +139,9 @@ def apply_door(grid: FloorGrid, site: DoorSite,
     the new door are left alone. Returns the flanks it converted.
     room_map, when given, keeps Room.tiles in sync with the conversions.
     """
-    x, z = site.position
-    grid.put(x, z, DOOR)
-    cells, d = grid.cells, grid.depth
-    converted = []
-    for fx, fz in site.flanks():
-        t = grid.get(fx, fz)
-        if is_room(t):
-            cells[fx * d + fz] = INTERIOR_WALL
-            converted.append((fx, fz))
-            if room_map is not None and t in room_map:
-                room_map[t].tiles.discard((fx, fz))
-    return converted
-
-
-def _room_map(rooms: Iterable[Room] | None) -> dict[int, Room] | None:
-    if rooms is None:
-        return None
-    return {room.id: room for room in rooms}
+    (x, z), d = site.position, grid.depth
+    key = 2 * (x * d + z) + (site.axis == "z")
+    return [divmod(f, d) for f in _cut(grid.cells, d, key, room_map or {})]
 
 
 def place_doors(grid: FloorGrid, rng: random.Random,
@@ -179,7 +163,7 @@ def place_doors(grid: FloorGrid, rng: random.Random,
         raise ValueError(f"unknown door mode {mode!r}")
     if wall_rule not in WALL_RULES:
         raise ValueError(f"unknown wall rule {wall_rule!r}")
-    room_map = _room_map(rooms)
+    room_map = {room.id: room for room in rooms or ()}
     cells, d = grid.cells, grid.depth
     placed: list[DoorSite] = []
     if mode == "sweep":
@@ -189,31 +173,35 @@ def place_doors(grid: FloorGrid, rng: random.Random,
         for i in tiles:
             keys = _tile_sites(cells, d, i, wall_rule)
             if keys:  # both axes qualify only on rare cross-shaped tiles
-                site = _site(cells, d, keys[0] if len(keys) == 1
-                             else rng.choice(keys))
-                apply_door(grid, site, room_map)
-                placed.append(site)
+                key = keys[0] if len(keys) == 1 else rng.choice(keys)
+                placed.append(_site(cells, d, key))
+                _cut(cells, d, key, room_map)
         return placed
     # A door changes only its own tile and the flanks it converts, so
     # only those and their neighbors can change legality. The door loses
     # its keys; of the rest, only walls can have any, and the flanks are
-    # among the door's neighbors.
-    keys = [key for i in grid.interior_indices() if cells[i] == INTERIOR_WALL
-            for key in _tile_sites(cells, d, i, wall_rule)]
+    # among the door's neighbors. have[j] is tile j's run of keys in the
+    # list, so a re-check splices the list only when that run changes.
+    have: list[list[int]] = [[]] * len(cells)
+    keys = []
+    for i in grid.interior_indices():
+        if cells[i] == INTERIOR_WALL:
+            have[i] = found = _tile_sites(cells, d, i, wall_rule)
+            keys += found
     while keys:
         key = rng.choice(keys)
-        site = _site(cells, d, key)
+        placed.append(_site(cells, d, key))
         i = key >> 1
-        flanks = apply_door(grid, site, room_map)
-        placed.append(site)
         lo = bisect_left(keys, 2 * i)
-        del keys[lo:bisect_left(keys, 2 * i + 2, lo)]
-        changed = [i] + [x * d + z for x, z in flanks]
-        for j in {n for c in changed for n in (c - d, c + d, c - 1, c + 1)
-                  if cells[n] == INTERIOR_WALL}:
-            lo = bisect_left(keys, 2 * j)
-            keys[lo:bisect_left(keys, 2 * j + 2, lo)] = _tile_sites(
-                cells, d, j, wall_rule)
+        del keys[lo:lo + len(have[i])]
+        for c in [i] + _cut(cells, d, key, room_map):
+            for j in (c - d, c + d, c - 1, c + 1):
+                if cells[j] == INTERIOR_WALL:
+                    found = _tile_sites(cells, d, j, wall_rule)
+                    if found != have[j]:
+                        lo = bisect_left(keys, 2 * j)
+                        keys[lo:lo + len(have[j])] = found
+                        have[j] = found
     return placed
 
 
@@ -309,7 +297,7 @@ def repair_connectivity(grid: FloorGrid, rng: random.Random,
     lie in different components and converts one to a door with the usual
     flank conversion. Fails if regions are sealed behind 2-thick walls.
     """
-    room_map = _room_map(rooms)
+    room_map = {room.id: room for room in rooms or ()}
     cells, d = grid.cells, grid.depth
     repairs = 0
     while True:
@@ -324,13 +312,13 @@ def repair_connectivity(grid: FloorGrid, rng: random.Random,
         for i in grid.interior_indices():
             if cells[i] != INTERIOR_WALL:
                 continue
-            for k, (_, a, b) in enumerate(_axis_pairs(i, d)):
-                ca, cb = comp_of[a], comp_of[b]
+            for k, step in ((0, d), (1, 1)):
+                ca, cb = comp_of[i - step], comp_of[i + step]
                 if ca >= 0 and cb >= 0 and ca != cb:
                     bridges.append(2 * i + k)
         if not bridges:
             raise RepairError(
                 f"{len(components)} regions cannot be joined by a "
                 "single door anywhere")
-        apply_door(grid, _site(cells, d, rng.choice(bridges)), room_map)
+        _cut(cells, d, rng.choice(bridges), room_map)
         repairs += 1

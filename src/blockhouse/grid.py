@@ -143,8 +143,9 @@ class FloorGrid:
         return sorted({t for t in self.cells if t >= 0})
 
     def entrance(self) -> Coord | None:
-        doors = self.find(EXTERIOR_DOOR)
-        return doors[0] if doors else None
+        if EXTERIOR_DOOR in self.cells:  # the first in `cells` order
+            return divmod(self.cells.index(EXTERIOR_DOOR), self.depth)
+        return None
 
     def copy(self) -> "FloorGrid":
         dup = FloorGrid(self.width, self.depth)

@@ -123,10 +123,12 @@ def _frontier(grid: FloorGrid, room: Room) -> list[int]:
     for x, z in room.tiles:
         i = x * d + z
         for n in (i + d, i - d, i + 1, i - 1):
-            if cells[n] == EMPTY and n not in out and not any(
-                    (t := cells[m]) >= 0 and t != rid
-                    for m in (n + d, n - d, n + 1, n - 1)):
-                out.add(n)
+            if cells[n] == EMPTY and n not in out:
+                for m in (n + d, n - d, n + 1, n - 1):
+                    if (t := cells[m]) >= 0 and t != rid:
+                        break
+                else:
+                    out.add(n)
     return sorted(out)
 
 

@@ -9,6 +9,7 @@ from collections import deque
 
 from blockhouse import (
     DOOR,
+    EMPTY,
     EXTERIOR_DOOR,
     EXTERIOR_WALL,
     INTERIOR_WALL,
@@ -108,12 +109,51 @@ def room_tiles_connected(grid: FloorGrid, room_id: int) -> bool:
     return seen == tiles
 
 
+def growth_candidates_oracle(grid: FloorGrid, room_id: int) -> set:
+    """Growth candidates read from `cells` alone: the empty tiles with a
+    tile of the room beside them and no tile of another room (the
+    implementation starts from `Room.tiles` and steps flat indices)."""
+    cells, w, d = grid.cells, grid.width, grid.depth
+
+    def beside(x, z):
+        return [(nx, nz)
+                for nx, nz in ((x + 1, z), (x - 1, z), (x, z + 1), (x, z - 1))
+                if 0 <= nx < w and 0 <= nz < d]
+
+    out = set()
+    for i, t in enumerate(cells):
+        if t != room_id:
+            continue
+        for x, z in beside(*divmod(i, d)):
+            if cells[x * d + z] == EMPTY and all(
+                    u < 0 or u == room_id
+                    for u in (cells[nx * d + nz] for nx, nz in beside(x, z))):
+                out.add((x, z))
+    return out
+
+
+def site_through(site) -> tuple:
+    """The two tiles a door site connects, along its passage axis."""
+    x, z = site.position
+    if site.axis == "x":
+        return ((x - 1, z), (x + 1, z))
+    return ((x, z - 1), (x, z + 1))
+
+
+def site_flanks(site) -> tuple:
+    """The two tiles beside a door site, perpendicular to passage."""
+    x, z = site.position
+    if site.axis == "x":
+        return ((x, z - 1), (x, z + 1))
+    return ((x - 1, z), (x + 1, z))
+
+
 def site_is_legal(grid: FloorGrid, site, wall_rule: str = "any") -> bool:
     """Door legality recomputed from scratch for one site."""
     x, z = site.position
     if grid.get(x, z) != INTERIOR_WALL:
         return False
-    a, b = site.through()
+    a, b = site_through(site)
     ta, tb = grid.get(*a), grid.get(*b)
     if not (ta >= 0 or ta == DOOR) or not (tb >= 0 or tb == DOOR):
         return False

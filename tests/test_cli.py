@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, config handling, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -263,6 +264,53 @@ def test_render_rejects_documents_that_contradict_their_plan(
     assert out == ""
     assert err.startswith("parse error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("field,value", [
+    (("voxels", "size"), [7, 6]),
+    (("voxels", "size"), [7, 6, 7, 1]),
+    (("voxels", "size"), 7),
+    (("wall_height",), "abc"),
+    (("wall_height",), "4"),
+    (("wall_height",), 4.0),
+    (("wall_height",), True),
+    (("wall_height",), None),
+    (("plan",), ["###"]),
+    (("plan",), "#"),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+def test_render_rejects_malformed_fields(capsys, tmp_path, field, value):
+    # The document is otherwise the one generate wrote, with wall height
+    # 4 and a 7x6x7 voxel volume.
+    path = tmp_path / "b.json"
+    run(capsys, *GEN77, "--format", "json", "--out", str(path))
+    doc = json.loads(path.read_text())
+    *parents, key = field
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "render", str(path))
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("parse error:")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_blockhouse_renders_a_file(capsys, tmp_path):
+    # `python -m blockhouse` from a checkout, with only src/ on the path.
+    path = tmp_path / "b.json"
+    run(capsys, *GEN77, "--format", "json", "--out", str(path))
+    _, layout, _ = run(capsys, *GEN77)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockhouse", "render", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == layout
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("cell", ["2", "x", " ", "_"])

@@ -27,7 +27,12 @@ from blockhouse import (
     wallify_leftovers,
 )
 
-from helpers import passable_components, site_is_legal
+from helpers import (
+    passable_components,
+    site_flanks,
+    site_is_legal,
+    site_through,
+)
 
 # Exactly one wall tile joins the two rooms: (3, 2) along the x axis.
 PLAN_ONE_SITE = """\
@@ -59,11 +64,24 @@ def _grown(seed, width=9, depth=9, count=4):
 
 def test_door_site_through_and_flanks():
     site = DoorSite((4, 2), "x", (0, 1))
-    assert site.through() == ((3, 2), (5, 2))
-    assert site.flanks() == ((4, 1), (4, 3))
+    assert site_through(site) == ((3, 2), (5, 2))
+    assert site_flanks(site) == ((4, 1), (4, 3))
     site = DoorSite((4, 2), "z", (1, 0))
-    assert site.through() == ((4, 1), (4, 3))
-    assert site.flanks() == ((3, 2), (5, 2))
+    assert site_through(site) == ((4, 1), (4, 3))
+    assert site_flanks(site) == ((3, 2), (5, 2))
+    # The library reads the axes the same way: a door inside one room
+    # converts exactly its two flanks and leaves the joined tiles, and
+    # every legal site joins the tiles on its through sides.
+    for axis in "xz":
+        grid = parse_ascii("#######\n" + "#00000#\n" * 5 + "#######\n")
+        site = DoorSite((3, 3), axis, (0, 0))
+        assert apply_door(grid, site) == list(site_flanks(site))
+        assert [grid.get(*t) for t in site_through(site)] == [0, 0]
+    grid, _ = _grown(3, 11, 11, 5)
+    sites = legal_door_sites(grid)
+    assert sites
+    for site in sites:
+        assert site.joined == tuple(grid.get(*t) for t in site_through(site))
 
 
 def test_wallify_fills_only_leftover_interior():

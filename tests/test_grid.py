@@ -15,6 +15,7 @@ from blockhouse import (
     derive_seed,
     is_passable,
     is_room,
+    parse_ascii,
 )
 
 
@@ -74,6 +75,38 @@ def test_find_count_room_ids_entrance():
     assert grid.entrance() is None
     grid.put(0, 2, EXTERIOR_DOOR)
     assert grid.entrance() == (0, 2)
+
+
+@pytest.mark.parametrize("width,depth", [(6, 6), (7, 11), (12, 5)])
+def test_entrance_on_each_side(width, depth):
+    # Every non-corner border tile of the four sides in turn.
+    tiles = ([(0, z) for z in range(1, depth - 1)]
+             + [(width - 1, z) for z in range(1, depth - 1)]
+             + [(x, 0) for x in range(1, width - 1)]
+             + [(x, depth - 1) for x in range(1, width - 1)])
+    for x, z in tiles:
+        grid = FloorGrid(width, depth)
+        assert grid.entrance() is None
+        grid.put(x, z, EXTERIOR_DOOR)
+        assert grid.entrance() == (x, z) == grid.find(EXTERIOR_DOOR)[0]
+
+
+def test_entrance_of_a_plan_with_two_is_the_first_in_cells_order():
+    # (3, 0) on the north side and (0, 2) on the west side: cells run x
+    # major, so the west entrance comes first.
+    grid = parse_ascii("""\
+###E##
+#0000#
+E0000#
+#0000#
+######
+""")
+    assert grid.find(EXTERIOR_DOOR) == [(0, 2), (3, 0)]
+    assert grid.entrance() == (0, 2)
+    grid.put(0, 2, EXTERIOR_WALL)
+    assert grid.entrance() == (3, 0)
+    grid.put(3, 0, EXTERIOR_WALL)
+    assert grid.entrance() is None
 
 
 def test_copy_is_independent():

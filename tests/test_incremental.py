@@ -3,11 +3,12 @@
 Growth keeps each room's frontier, a sorted list of tile indices, up to
 date claim by claim, and saturate door placement keeps a sorted list of
 legal site keys up to date door by door. The references below are the
-rescanning algorithms they replace: growth recomputes
-`growth_candidates` on every turn, and saturate recomputes
-`legal_door_sites` after every door. Both draw from the same sorted
-lists, so for every seed the library must consume the same random
-numbers and build exactly the same plan.
+rescanning algorithms they replace: growth recomputes every room's
+candidates from `cells` on every turn (`growth_candidates_oracle` in
+helpers.py, which shares no code with `growth_candidates`), and
+saturate recomputes `legal_door_sites` after every door. Both draw
+from the same sorted lists, so for every seed the library must consume
+the same random numbers and build exactly the same plan.
 """
 
 import copy
@@ -18,10 +19,12 @@ from hypothesis import strategies as st
 
 from blockhouse import (
     DOOR,
+    EMPTY,
     INTERIOR_WALL,
     WALL_RULES,
     FloorGrid,
     PlacementError,
+    Room,
     apply_door,
     derive_rng,
     grow_rooms,
@@ -32,6 +35,8 @@ from blockhouse import (
     wallify_leftovers,
 )
 from blockhouse.rooms import growth_pass
+
+from helpers import growth_candidates_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -50,7 +55,7 @@ def reference_grow(grid, rooms, rng):
         rng.shuffle(order)
         claimed = 0
         for room in order:
-            candidates = growth_candidates(grid, room)
+            candidates = growth_candidates_oracle(grid, room.id)
             if not candidates:
                 continue
             x, z = rng.choice(sorted(candidates))
@@ -118,17 +123,38 @@ def test_frontiers_equal_growth_candidates_after_every_pass(
     # x * depth + z.
     grid, rooms = seeded_floor(width, depth, count, seed, obstacles)
     rng = derive_rng(seed, "growth")
-    frontiers = {room.id: sorted(x * depth + z
-                                 for x, z in growth_candidates(grid, room))
-                 for room in rooms}
+    frontiers = {room.id: sorted(
+        x * depth + z for x, z in growth_candidates_oracle(grid, room.id))
+        for room in rooms}
     while rooms and growth_pass(grid, rooms, rng, frontiers):
         for room in rooms:
             frontier = frontiers[room.id]
             assert ({divmod(i, depth) for i in frontier}
+                    == growth_candidates_oracle(grid, room.id)
                     == growth_candidates(grid, room))
             assert all(a < b for a, b in zip(frontier, frontier[1:]))
     # The final pass claimed nothing because every frontier is empty.
-    assert all(not growth_candidates(grid, room) for room in rooms)
+    assert all(not growth_candidates_oracle(grid, room.id) for room in rooms)
+
+
+@SETTINGS
+@given(sizes, sizes, seeds, obstacle_shares)
+def test_growth_candidates_match_oracle_on_arbitrary_tile_fields(
+        width, depth, seed, obstacles):
+    # Rooms of any shape, split into pieces or touching each other,
+    # among walls, doors and empty tiles.
+    grid = FloorGrid(width, depth)
+    rng = random.Random(seed)
+    for x, z in grid.interior():
+        if rng.random() < obstacles:
+            grid.put(x, z, rng.choice([INTERIOR_WALL, DOOR]))
+        else:
+            grid.put(x, z, rng.choice([EMPTY, EMPTY, EMPTY, 0, 1, 2]))
+    for room_id in range(3):
+        tiles = set(grid.find(room_id))
+        room = Room(room_id, min(tiles, default=(1, 1)), tiles)
+        assert (growth_candidates(grid, room)
+                == growth_candidates_oracle(grid, room_id))
 
 
 @SETTINGS
