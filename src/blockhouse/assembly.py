@@ -267,7 +267,7 @@ def import_json(doc: dict) -> BuildingModel:
             f"building document must be a JSON object, not "
             f"{type(doc).__name__}")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise LayoutError(f"unsupported schema_version {version!r}")
     try:
         plan = parse_ascii("\n".join(doc["plan"]))
@@ -282,25 +282,34 @@ def import_json(doc: dict) -> BuildingModel:
                 raise LayoutError(f"facade '{side}': {exc}") from exc
         vox = doc["voxels"]
         size = vox["size"]
-        if len(size) != 3:
-            raise LayoutError(f"voxels.size must hold 3 numbers, not {size!r}")
+        if len(size) != 3 or not set(map(type, size)) <= {int}:
+            raise LayoutError(f"voxels.size must be 3 integers, not {size!r}")
         w, levels, d = size
-        codes = [BLOCK_CODES[name] for name in vox["palette"]]
+        codes = bytes(BLOCK_CODES[name] for name in vox["palette"])
         blocks = vox["blocks"]
         if len(blocks) != w * d * levels:
             raise LayoutError(
                 f"voxel array has {len(blocks)} entries, "
                 f"expected {w * d * levels}")
-        if blocks and min(blocks) < 0:
-            raise LayoutError(
-                f"negative palette index {min(blocks)} in voxels.blocks")
-        voxels = bytearray(map(codes.__getitem__, blocks))
+        if not set(map(type, blocks)) <= {int}:
+            raise LayoutError("voxels.blocks must hold plain integers")
+        try:
+            indices = bytes(blocks)
+        except ValueError:  # an index below 0 or above 255
+            low = min(blocks)
+            raise LayoutError(f"negative palette index {low}" if low < 0 else
+                              f"palette index {max(blocks)} is above 255")
+        # An index past the palette decodes to 255, which no block is.
+        voxels = indices.translate((codes + b"\xff" * 256)[:256])
         entrance = tuple(doc["entrance"]) if doc.get("entrance") else None
+        if entrance and not set(map(type, entrance)) <= {int}:
+            raise LayoutError(f"entrance {list(entrance)!r} is not integers")
     except (KeyError, IndexError, TypeError, DimensionError) as exc:
         raise LayoutError(f"malformed building document: {exc}") from exc
     try:
+        plan.validate()
         model = assemble(plan, facades, height)
-    except DimensionError as exc:
+    except ValueError as exc:  # DimensionError, or a plan that fails validate
         raise LayoutError(str(exc)) from exc
     if ((w, levels, d) != (model.width, model.height + 2, model.depth)
             or voxels != model.voxels or entrance != model.entrance):

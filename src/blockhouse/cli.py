@@ -172,12 +172,11 @@ def cmd_render(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith(("{", "[")):
-        model = import_json(json.loads(text))
-        print(render_ascii(model.plan))
+        grid = import_json(json.loads(text)).plan
     else:
         grid = parse_ascii(text)
         grid.validate()
-        print(render_ascii(grid))
+    print(render_ascii(grid))
     return 0
 
 
@@ -226,9 +225,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BatchError as exc:
         print(f"batch failed: {exc}", file=sys.stderr)
-        return 3
-    except tuple(_STAGE_NAMES) as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
         return 3
     except LayoutError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

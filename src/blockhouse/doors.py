@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
 
 from .grid import (
     DOOR,
@@ -25,7 +24,6 @@ from .grid import (
     FloorGrid,
     is_room,
 )
-from .rooms import Room
 
 # Which neighbors satisfy the door rule "adjacent to at least one other
 # wall": "any" accepts exterior border walls too, "interior" requires an
@@ -104,20 +102,16 @@ def _site(cells: list[int], d: int, key: int) -> DoorSite:
                     (cells[i - step], cells[i + step]))
 
 
-def _cut(cells: list[int], d: int, key: int,
-         room_map: dict[int, Room]) -> list[int]:
+def _cut(cells: list[int], d: int, key: int) -> list[int]:
     # A door at site key, then the flank rule: room tiles beside it turn
-    # to wall. Returns the indices converted, dropped from Room.tiles.
+    # to wall. Returns the indices converted.
     i, step = key >> 1, d if key & 1 else 1
     cells[i] = DOOR
     converted = []
     for f in (i - step, i + step):
-        t = cells[f]
-        if t >= 0:
+        if cells[f] >= 0:
             cells[f] = INTERIOR_WALL
             converted.append(f)
-            if t in room_map:
-                room_map[t].tiles.discard(divmod(f, d))
     return converted
 
 
@@ -131,21 +125,19 @@ def legal_door_sites(grid: FloorGrid,
             for key in _tile_sites(cells, d, i, wall_rule)}
 
 
-def apply_door(grid: FloorGrid, site: DoorSite,
-               room_map: dict[int, Room] | None = None) -> list[Coord]:
+def apply_door(grid: FloorGrid, site: DoorSite) -> list[Coord]:
     """Put a door at the site and wall off its two flanking tiles.
 
     Only room tiles are converted to wall; doors and border walls beside
     the new door are left alone. Returns the flanks it converted.
-    room_map, when given, keeps Room.tiles in sync with the conversions.
     """
     (x, z), d = site.position, grid.depth
     key = 2 * (x * d + z) + (site.axis == "z")
-    return [divmod(f, d) for f in _cut(grid.cells, d, key, room_map or {})]
+    return [divmod(f, d) for f in _cut(grid.cells, d, key)]
 
 
 def place_doors(grid: FloorGrid, rng: random.Random,
-                rooms: Iterable[Room] | None = None,
+                rooms: object = None,
                 wall_rule: str = DEFAULT_WALL_RULE,
                 mode: str = DEFAULT_DOOR_MODE) -> list[DoorSite]:
     """Cut doors into the plan's walls; returns them in placement order.
@@ -158,12 +150,12 @@ def place_doors(grid: FloorGrid, rng: random.Random,
     site exists anywhere. Saturate draws from one sorted list of site
     keys (`2 * index + (axis == "z")`) kept with `bisect`, re-checking
     only the door tile, the flanks it converted and their neighbors.
+    `rooms` is unused; perfbench's `compose_building` passes it still.
     """
     if mode not in DOOR_MODES:
         raise ValueError(f"unknown door mode {mode!r}")
     if wall_rule not in WALL_RULES:
         raise ValueError(f"unknown wall rule {wall_rule!r}")
-    room_map = {room.id: room for room in rooms or ()}
     cells, d = grid.cells, grid.depth
     placed: list[DoorSite] = []
     if mode == "sweep":
@@ -175,7 +167,7 @@ def place_doors(grid: FloorGrid, rng: random.Random,
             if keys:  # both axes qualify only on rare cross-shaped tiles
                 key = keys[0] if len(keys) == 1 else rng.choice(keys)
                 placed.append(_site(cells, d, key))
-                _cut(cells, d, key, room_map)
+                _cut(cells, d, key)
         return placed
     # A door changes only its own tile and the flanks it converts, so
     # only those and their neighbors can change legality. The door loses
@@ -194,7 +186,7 @@ def place_doors(grid: FloorGrid, rng: random.Random,
         i = key >> 1
         lo = bisect_left(keys, 2 * i)
         del keys[lo:lo + len(have[i])]
-        for c in [i] + _cut(cells, d, key, room_map):
+        for c in [i] + _cut(cells, d, key):
             for j in (c - d, c + d, c - 1, c + 1):
                 if cells[j] == INTERIOR_WALL:
                     found = _tile_sites(cells, d, j, wall_rule)
@@ -289,15 +281,14 @@ def connected_components(grid: FloorGrid,
 
 
 def repair_connectivity(grid: FloorGrid, rng: random.Random,
-                        rooms: Iterable[Room] | None = None
-                        ) -> ConnectivityReport:
+                        rooms: object = None) -> ConnectivityReport:
     """Force doors through 1-thick walls until the plan is connected.
 
     Each repair picks uniformly among wall tiles whose opposite neighbors
     lie in different components and converts one to a door with the usual
     flank conversion. Fails if regions are sealed behind 2-thick walls.
+    `rooms` is unused, as in `place_doors`.
     """
-    room_map = {room.id: room for room in rooms or ()}
     cells, d = grid.cells, grid.depth
     repairs = 0
     while True:
@@ -320,5 +311,5 @@ def repair_connectivity(grid: FloorGrid, rng: random.Random,
             raise RepairError(
                 f"{len(components)} regions cannot be joined by a "
                 "single door anywhere")
-        _cut(cells, d, rng.choice(bridges), room_map)
+        _cut(cells, d, rng.choice(bridges))
         repairs += 1

@@ -155,14 +155,16 @@ class FloorGrid:
     def validate(self) -> None:
         """Check the border/interior state partition, raising ValueError on
         the first violation. Cheap enough to run after every stage."""
-        cells, d = self.cells, self.depth
+        cells, d, n = self.cells, self.depth, len(self.cells)
+        # The ring as __init__ slices it, sorted into border() order.
         entrances = 0
-        for x, z in self.border():
-            t = cells[x * d + z]
+        for i in sorted({*range(d), *range(n - d, n), *range(0, n, d),
+                         *range(d - 1, n, d)}):
+            t = cells[i]
             if t == EXTERIOR_DOOR:
                 entrances += 1
             elif t != EXTERIOR_WALL:
-                raise ValueError(f"border tile ({x}, {z}) holds state {t}")
+                raise ValueError(f"border tile {divmod(i, d)} holds state {t}")
         if entrances > 1:
             raise ValueError(f"{entrances} entrances on the border, expected at most 1")
         for i in self.interior_indices():

@@ -29,6 +29,10 @@ class BatchError(RuntimeError):
         super().__init__(f"building {index} (seed {seed}) failed: {cause}")
         self.index = index
         self.seed = seed
+        self.cause = cause
+
+    def __reduce__(self):  # pool workers send it back pickled
+        return type(self), (self.index, self.seed, self.cause)
 
 
 @dataclass(frozen=True)

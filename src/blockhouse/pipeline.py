@@ -185,12 +185,12 @@ def generate_building(config: RunConfig, seed: int) -> GenerationResult:
                         config.max_attempts)
     grow_rooms(plan, rooms, derive_rng(seed, "growth"))
     wallify_leftovers(plan)
-    placed = place_doors(plan, derive_rng(seed, "doors"), rooms,
-                         config.wall_rule, config.door_mode)
+    placed = place_doors(plan, derive_rng(seed, "doors"),
+                         wall_rule=config.wall_rule, mode=config.door_mode)
     entrance = place_exterior_door(plan, derive_rng(seed, "entrance"))
     pre = connected_components(plan)
     if pre.component_count > 1:
-        report = repair_connectivity(plan, derive_rng(seed, "repair"), rooms)
+        report = repair_connectivity(plan, derive_rng(seed, "repair"))
     else:
         report = pre
     facades = generate_facades(config.width, config.depth, config.height,

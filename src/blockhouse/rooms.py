@@ -18,11 +18,15 @@ class PlacementError(RuntimeError):
 
 @dataclass
 class Room:
-    """One room: its id, the min corner of its 2x2 seed, and every tile
-    it has grown to occupy."""
+    """One room: its id, the min corner of its 2x2 seed, and its plan."""
     id: int
     anchor: Coord
-    tiles: set[Coord] = field(default_factory=set)
+    plan: FloorGrid = field(compare=False, repr=False)
+
+    @property
+    def tiles(self) -> set[Coord]:
+        """The tiles the room occupies in its plan right now."""
+        return set(self.plan.find(self.id))
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ def place_rooms(grid: FloorGrid, count: int, rng: random.Random,
     dropped undrawn. Raises PlacementError only if no room at all could
     be placed.
     """
-    hi_x, hi_z = grid.width - 3, grid.depth - 3
+    hi_x, hi_z, d = grid.width - 3, grid.depth - 3, grid.depth
     # Corner c is (1 + c // hi_z, 1 + c % hi_z), x-major; every corner
     # before `first` is known not to fit.
     first, corners = 0, hi_x * hi_z
@@ -104,10 +108,9 @@ def place_rooms(grid: FloorGrid, count: int, rng: random.Random,
             x = rng.randint(1, hi_x)
             z = rng.randint(1, hi_z)
             if _seed_fits(grid, x, z):
-                square = {(x, z), (x + 1, z), (x, z + 1), (x + 1, z + 1)}
-                for sx, sz in square:
-                    grid.cells[sx * grid.depth + sz] = room_id
-                rooms.append(Room(room_id, (x, z), square))
+                i = x * d + z
+                grid.cells[i:i + 2] = grid.cells[i + d:i + d + 2] = [room_id] * 2
+                rooms.append(Room(room_id, (x, z), grid))
                 break
     if not rooms:
         raise PlacementError(
@@ -115,13 +118,14 @@ def place_rooms(grid: FloorGrid, count: int, rng: random.Random,
     return rooms
 
 
-def _frontier(grid: FloorGrid, room: Room) -> list[int]:
-    # Sorted flat indices of the room's growth candidates (see
-    # growth_candidates).
-    cells, d, rid = grid.cells, grid.depth, room.id
-    out: set[int] = set()
-    for x, z in room.tiles:
-        i = x * d + z
+def _frontiers(grid: FloorGrid, rooms: list[Room]) -> dict[int, list[int]]:
+    # Each room's growth candidates (see growth_candidates) as sorted flat
+    # indices, from one scan of the plan's room tiles.
+    cells, d = grid.cells, grid.depth
+    found: dict[int, set[int]] = {room.id: set() for room in rooms}
+    for i, rid in enumerate(cells):
+        if rid < 0 or (out := found.get(rid)) is None:
+            continue
         for n in (i + d, i - d, i + 1, i - 1):
             if cells[n] == EMPTY and n not in out:
                 for m in (n + d, n - d, n + 1, n - 1):
@@ -129,14 +133,14 @@ def _frontier(grid: FloorGrid, room: Room) -> list[int]:
                         break
                 else:
                     out.add(n)
-    return sorted(out)
+    return {rid: sorted(out) for rid, out in found.items()}
 
 
 def growth_candidates(grid: FloorGrid, room: Room) -> set[Coord]:
     """Empty tiles the room may claim this turn: orthogonally adjacent to
     the room, not orthogonally adjacent to any other room, and never a
     border wall (border tiles are not empty, so they exclude themselves)."""
-    return {divmod(i, grid.depth) for i in _frontier(grid, room)}
+    return {divmod(i, grid.depth) for i in _frontiers(grid, [room])[room.id]}
 
 
 def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random,
@@ -149,7 +153,7 @@ def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random,
     `bisect`; when omitted, it is built for this pass.
     """
     if frontiers is None:
-        frontiers = {room.id: _frontier(grid, room) for room in rooms}
+        frontiers = _frontiers(grid, rooms)
     cells, d = grid.cells, grid.depth
     order = list(rooms)
     rng.shuffle(order)
@@ -162,7 +166,6 @@ def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random,
         i = rng.choice(candidates)
         del candidates[bisect_left(candidates, i)]
         cells[i] = rid
-        room.tiles.add(divmod(i, d))
         claimed += 1
         # Only this room could have had i as a candidate, since it touched
         # no other room. Its empty neighbors now touch this room: they
@@ -192,6 +195,6 @@ def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random,
 
 def grow_rooms(grid: FloorGrid, rooms: list[Room], rng: random.Random) -> None:
     """Run growth passes until an entire pass claims nothing."""
-    frontiers = {room.id: _frontier(grid, room) for room in rooms}
+    frontiers = _frontiers(grid, rooms)
     while rooms and growth_pass(grid, rooms, rng, frontiers):
         pass

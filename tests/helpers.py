@@ -1,4 +1,5 @@
-"""Independent oracles shared across the test suite.
+"""Independent oracles, and a failure injector, shared across the test
+suite.
 
 Everything here recomputes results from first principles using different
 data structures and traversal orders than the library, so agreement is
@@ -7,6 +8,7 @@ evidence rather than tautology.
 
 from collections import deque
 
+import blockhouse.metrics
 from blockhouse import (
     DOOR,
     EMPTY,
@@ -14,6 +16,8 @@ from blockhouse import (
     EXTERIOR_WALL,
     INTERIOR_WALL,
     FloorGrid,
+    RepairError,
+    building_seed,
 )
 from blockhouse.assembly import PASSABLE_BLOCKS, BuildingModel
 from blockhouse.facade import WallMatrix
@@ -112,7 +116,7 @@ def room_tiles_connected(grid: FloorGrid, room_id: int) -> bool:
 def growth_candidates_oracle(grid: FloorGrid, room_id: int) -> set:
     """Growth candidates read from `cells` alone: the empty tiles with a
     tile of the room beside them and no tile of another room (the
-    implementation starts from `Room.tiles` and steps flat indices)."""
+    implementation steps flat indices out from every room tile at once)."""
     cells, w, d = grid.cells, grid.width, grid.depth
 
     def beside(x, z):
@@ -236,3 +240,17 @@ def interior_tile_conservation(grid: FloorGrid) -> bool:
     walls = grid.count(INTERIOR_WALL)
     doors = grid.count(DOOR)
     return interior == room_tiles + walls + doors
+
+
+def fail_one_building(monkeypatch, master_seed: int, index: int) -> None:
+    """Make batch building `index` of `master_seed` raise RepairError.
+    Forked pool workers inherit the patch."""
+    real = blockhouse.metrics.generate_building
+    bad_seed = building_seed(master_seed, index)
+
+    def fail_one(config, seed):
+        if seed == bad_seed:
+            raise RepairError("2 regions cannot be joined")
+        return real(config, seed)
+
+    monkeypatch.setattr(blockhouse.metrics, "generate_building", fail_one)

@@ -272,6 +272,17 @@ def test_import_rejects_negative_palette_index():
         import_json(doc)
 
 
+@pytest.mark.parametrize("past", [0, 1, 250])
+def test_import_rejects_palette_index_past_the_palette(past):
+    # Put the index on an air block: air is code 0, so a decode that
+    # padded the palette with zeros would let it through.
+    doc = export_json(_small_model())
+    palette, blocks = doc["voxels"]["palette"], doc["voxels"]["blocks"]
+    blocks[blocks.index(palette.index("air"))] = len(palette) + past
+    with pytest.raises(LayoutError, match="contradict|above 255"):
+        import_json(doc)
+
+
 @pytest.mark.parametrize("doc", [[1, 2], "text", 3, None])
 def test_import_rejects_documents_that_are_not_objects(doc):
     with pytest.raises(LayoutError, match="must be a JSON object"):

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from blockhouse import PlacementError, parse_ascii
+from blockhouse import PlacementError, building_seed, parse_ascii
 from blockhouse.cli import main
+
+from helpers import fail_one_building
 
 
 def run(capsys, *argv):
@@ -19,6 +21,9 @@ def run(capsys, *argv):
 
 
 GEN77 = ("generate", "--width", "7", "--depth", "7", "--seed", "5")
+# Child interpreters import the package from this checkout.
+CHECKOUT_ENV = {**os.environ,
+                "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
 def test_generate_prints_a_plan(capsys):
@@ -266,7 +271,33 @@ def test_render_rejects_documents_that_contradict_their_plan(
     assert len(err.strip().splitlines()) == 1
 
 
+def _floats(values):
+    return [float(v) for v in values]
+
+
+def _first_solid_wall_as_true(blocks):
+    # Palette index 1 is solid_wall, and true == 1 in Python.
+    blocks = list(blocks)
+    blocks[blocks.index(1)] = True
+    return blocks
+
+
+def _room_on_the_border(plan):
+    # The facades repaint the border columns, so the voxels still agree
+    # with the rebuilt model; only plan validation sees this.
+    plan = list(plan)
+    x = plan[0].index("#", 1)
+    plan[0] = plan[0][:x] + "0" + plan[0][x + 1:]
+    return plan
+
+
 @pytest.mark.parametrize("field,value", [
+    (("schema_version",), True),
+    (("schema_version",), 1.0),
+    (("voxels", "size"), [7.0, 6.0, 7.0]),
+    (("voxels", "blocks"), _first_solid_wall_as_true),
+    (("entrance",), _floats),
+    (("plan",), _room_on_the_border),
     (("voxels", "size"), [7, 6]),
     (("voxels", "size"), [7, 6, 7, 1]),
     (("voxels", "size"), 7),
@@ -277,10 +308,11 @@ def test_render_rejects_documents_that_contradict_their_plan(
     (("wall_height",), None),
     (("plan",), ["###"]),
     (("plan",), "#"),
-], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+], ids=lambda v: (".".join(v) if isinstance(v, tuple)
+                  else v.__name__ if callable(v) else repr(v)))
 def test_render_rejects_malformed_fields(capsys, tmp_path, field, value):
     # The document is otherwise the one generate wrote, with wall height
-    # 4 and a 7x6x7 voxel volume.
+    # 4 and a 7x6x7 voxel volume. A function value rewrites the field.
     path = tmp_path / "b.json"
     run(capsys, *GEN77, "--format", "json", "--out", str(path))
     doc = json.loads(path.read_text())
@@ -288,7 +320,7 @@ def test_render_rejects_malformed_fields(capsys, tmp_path, field, value):
     target = doc
     for name in parents:
         target = target[name]
-    target[key] = value
+    target[key] = value(target[key]) if callable(value) else value
     path.write_text(json.dumps(doc))
     rc, out, err = run(capsys, "render", str(path))
     assert rc == 4
@@ -303,11 +335,9 @@ def test_python_dash_m_blockhouse_renders_a_file(capsys, tmp_path):
     path = tmp_path / "b.json"
     run(capsys, *GEN77, "--format", "json", "--out", str(path))
     _, layout, _ = run(capsys, *GEN77)
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "blockhouse", "render", str(path)],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        capture_output=True, text=True, timeout=60, env=CHECKOUT_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == layout
     assert proc.stderr == ""
@@ -453,7 +483,7 @@ def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, "generate", "--width", "7",
          "--depth", "7", "--seed", "5"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=CHECKOUT_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip(), proc.stderr
     assert "seed: 5" in proc.stderr, proc.stderr
@@ -463,7 +493,7 @@ def test_module_main_guard():
     proc = subprocess.run(
         [sys.executable, "-m", "blockhouse.cli", "generate", "--width", "7",
          "--depth", "7", "--seed", "5"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=CHECKOUT_ENV)
     assert proc.returncode == 0
     assert proc.stdout.strip()
 
@@ -492,6 +522,19 @@ def test_automaton_flags_merge_into_the_config_object(capsys, tmp_path):
     ca = json.loads(out)["config"]["ca"]
     assert ca["generations"] == 1
     assert ca["glass_sums"] == [1, 4]
+
+
+def test_batch_failure_in_a_worker_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    fail_one_building(monkeypatch, 4, 1)
+    rc, out, err = run(capsys, "batch", "--width", "7", "--depth", "7",
+                       "--seed", "4", "-n", "4", "--workers", "2")
+    assert rc == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "master seed: 4",
+        f"batch failed: building 1 (seed {building_seed(4, 1)}) failed: "
+        "2 regions cannot be joined"]
 
 
 @pytest.fixture

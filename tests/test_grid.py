@@ -148,6 +148,23 @@ def test_validate_rejects_bad_border_and_interior_states():
         grid.validate()
 
 
+def test_validate_names_the_first_bad_border_tile_in_border_order():
+    # Large enough that a set of the ring's indices iterates out of order.
+    ring = list(FloorGrid(20, 9).border())
+    for k, (x, z) in enumerate(ring):
+        for later in ring[k:]:
+            grid = FloorGrid(20, 9)
+            grid.put(*later, EMPTY)
+            grid.put(x, z, 0)
+            first = rf"border tile \({x}, {z}\) holds state 0"
+            with pytest.raises(ValueError, match=first):
+                grid.validate()
+        # Each ring tile counts once, corners included.
+        grid = FloorGrid(20, 9)
+        grid.put(x, z, EXTERIOR_DOOR)
+        grid.validate()
+
+
 def test_derive_seed_is_stable_and_tag_sensitive():
     assert derive_seed(1, "rooms") == derive_seed(1, "rooms")
     assert derive_seed(1, "rooms") != derive_seed(1, "growth")

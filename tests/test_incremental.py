@@ -60,7 +60,6 @@ def reference_grow(grid, rooms, rng):
                 continue
             x, z = rng.choice(sorted(candidates))
             grid.put(x, z, room.id)
-            room.tiles.add((x, z))
             claimed += 1
         return claimed
 
@@ -68,13 +67,12 @@ def reference_grow(grid, rooms, rng):
         pass
 
 
-def reference_saturate(grid, rng, rooms, wall_rule):
+def reference_saturate(grid, rng, wall_rule):
     """Saturate door placement as a fixed point of full rescans."""
-    room_map = None if rooms is None else {room.id: room for room in rooms}
     placed = []
     while sites := legal_door_sites(grid, wall_rule):
         site = rng.choice(sorted(sites))
-        apply_door(grid, site, room_map)
+        apply_door(grid, site)
         placed.append(site)
     return placed
 
@@ -151,8 +149,7 @@ def test_growth_candidates_match_oracle_on_arbitrary_tile_fields(
         else:
             grid.put(x, z, rng.choice([EMPTY, EMPTY, EMPTY, 0, 1, 2]))
     for room_id in range(3):
-        tiles = set(grid.find(room_id))
-        room = Room(room_id, min(tiles, default=(1, 1)), tiles)
+        room = Room(room_id, min(grid.find(room_id), default=(1, 1)), grid)
         assert (growth_candidates(grid, room)
                 == growth_candidates_oracle(grid, room_id))
 
@@ -169,7 +166,7 @@ def test_saturate_matches_rescanning_placement(width, depth, count, seed,
     ref_rng = derive_rng(seed, "doors")
 
     placed = place_doors(grid, rng, rooms, wall_rule, "saturate")
-    ref_placed = reference_saturate(ref_grid, ref_rng, ref_rooms, wall_rule)
+    ref_placed = reference_saturate(ref_grid, ref_rng, wall_rule)
 
     assert placed == ref_placed
     assert grid == ref_grid
@@ -194,7 +191,7 @@ def test_saturate_matches_rescanning_on_arbitrary_tile_fields(
     ref_draw_rng = derive_rng(seed, "doors")
 
     placed = place_doors(grid, draw_rng, None, wall_rule, "saturate")
-    ref_placed = reference_saturate(ref_grid, ref_draw_rng, None, wall_rule)
+    ref_placed = reference_saturate(ref_grid, ref_draw_rng, wall_rule)
 
     assert placed == ref_placed
     assert grid == ref_grid

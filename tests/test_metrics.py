@@ -13,6 +13,7 @@ import blockhouse
 from blockhouse import (
     BatchError,
     ConnectivityReport,
+    RepairError,
     RoomCountPolicy,
     RunConfig,
     building_seed,
@@ -25,7 +26,7 @@ from blockhouse import (
     run_batch,
 )
 
-from helpers import interior_tile_conservation
+from helpers import fail_one_building, interior_tile_conservation
 
 PLAN_ONE_ROOM = """\
 #####
@@ -177,6 +178,18 @@ def test_batch_wraps_stage_failures(monkeypatch):
     assert info.value.index == 0
     assert info.value.seed == building_seed(21, 0)
     assert "seed" in str(info.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_error_survives_the_worker_pool(monkeypatch, workers):
+    fail_one_building(monkeypatch, 21, 2)
+    config = RunConfig(width=7, depth=7)
+    with pytest.raises(BatchError) as info:
+        run_batch(config, 4, master_seed=21, workers=workers)
+    assert (info.value.index, info.value.seed) == (2, building_seed(21, 2))
+    assert isinstance(info.value.cause, RepairError)
+    assert str(info.value) == (f"building 2 (seed {building_seed(21, 2)}) "
+                               "failed: 2 regions cannot be joined")
 
 
 def test_summary_table_and_dict():

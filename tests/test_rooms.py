@@ -95,7 +95,7 @@ def test_growth_candidates_ring_around_lone_seed():
     grid = FloorGrid(9, 9)
     for x, z in ((4, 4), (5, 4), (4, 5), (5, 5)):
         grid.put(x, z, 0)
-    room = Room(0, (4, 4), {(4, 4), (5, 4), (4, 5), (5, 5)})
+    room = Room(0, (4, 4), grid)
     expected = {(3, 4), (3, 5), (6, 4), (6, 5), (4, 3), (5, 3), (4, 6), (5, 6)}
     assert growth_candidates(grid, room) == expected
 
@@ -105,12 +105,11 @@ def test_growth_candidates_exclude_tiles_near_other_rooms():
     # rooms, so neither room may claim them.
     grid = FloorGrid(9, 7)
     from blockhouse import Room
-    a = Room(0, (1, 2), set())
-    b = Room(1, (4, 2), set())
+    a = Room(0, (1, 2), grid)
+    b = Room(1, (4, 2), grid)
     for room in (a, b):
         ax, az = room.anchor
-        room.tiles = {(ax, az), (ax + 1, az), (ax, az + 1), (ax + 1, az + 1)}
-        for x, z in room.tiles:
+        for x, z in ((ax, az), (ax + 1, az), (ax, az + 1), (ax + 1, az + 1)):
             grid.put(x, z, room.id)
     gap = {(3, 2), (3, 3)}
     assert gap & growth_candidates(grid, a) == set()
@@ -120,8 +119,8 @@ def test_growth_candidates_exclude_tiles_near_other_rooms():
 def test_growth_candidates_empty_when_boxed_in():
     grid = FloorGrid(6, 6)
     from blockhouse import Room
-    room = Room(0, (1, 1), {(1, 1), (2, 1), (1, 2), (2, 2)})
-    for x, z in room.tiles:
+    room = Room(0, (1, 1), grid)
+    for x, z in ((1, 1), (2, 1), (1, 2), (2, 2)):
         grid.put(x, z, 0)
     for x, z in ((3, 1), (3, 2), (1, 3), (2, 3), (3, 3)):
         grid.put(x, z, 1)

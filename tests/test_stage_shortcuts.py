@@ -63,7 +63,7 @@ def reference_place_rooms(grid, count, rng, max_attempts):
                 square = {(x, z), (x + 1, z), (x, z + 1), (x + 1, z + 1)}
                 for sx, sz in square:
                     grid.put(sx, sz, room_id)
-                rooms.append(Room(room_id, (x, z), square))
+                rooms.append(Room(room_id, (x, z), grid))
                 break
     if not rooms:
         raise PlacementError("no room placed")
