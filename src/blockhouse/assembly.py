@@ -45,9 +45,6 @@ BLOCK_NAMES = {
 }
 BLOCK_CODES = {name: code for code, name in BLOCK_NAMES.items()}
 
-# Blocks a player can occupy.
-PASSABLE_BLOCKS = frozenset({AIR, DOOR_OPENING})
-
 DEFAULT_HEIGHT = 4
 MIN_HEIGHT = 3
 
@@ -78,20 +75,6 @@ class BuildingModel:
     @property
     def depth(self) -> int:
         return self.plan.depth
-
-    def block_at(self, x: int, y: int, z: int) -> int:
-        # A flat index past the end of one column reads the next one, so
-        # every coordinate is bounded on its own.
-        levels = self.height + 2
-        if not (0 <= x < self.width and 0 <= y < levels
-                and 0 <= z < self.depth):
-            raise IndexError(
-                f"voxel ({x}, {y}, {z}) is outside the "
-                f"{self.width}x{levels}x{self.depth} volume")
-        return self.voxels[(x * self.depth + z) * levels + y]
-
-    def count_block(self, block: int) -> int:
-        return self.voxels.count(block)
 
 
 def _facade_tiles(side: str, width: int, depth: int) -> range:

@@ -66,11 +66,20 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                              "(default sweep)")
 
 
+def _load_json(text: str):
+    # The decoder recurses once per nesting level, so deep input ends in
+    # RecursionError, not JSONDecodeError.
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise LayoutError("JSON nested too deeply") from None
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            loaded = _load_json(fh.read())
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} must hold a "
                              "JSON object")
@@ -172,7 +181,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith(("{", "[")):
-        grid = import_json(json.loads(text)).plan
+        grid = import_json(_load_json(text)).plan
     else:
         grid = parse_ascii(text)
         grid.validate()
@@ -226,7 +235,8 @@ def main(argv: list[str] | None = None) -> int:
     except BatchError as exc:
         print(f"batch failed: {exc}", file=sys.stderr)
         return 3
-    except LayoutError as exc:
+    # UnicodeDecodeError is a ValueError: catch it before the config case.
+    except (LayoutError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
     except json.JSONDecodeError as exc:

@@ -205,7 +205,7 @@ def place_exterior_door(grid: FloorGrid, rng: random.Random) -> Coord:
     """
     cells, d = grid.cells, grid.depth
     last = len(cells) - d
-    # (border tile, the interior tile behind it), in border() order.
+    # (border tile, the interior tile behind it), in (x, z) order.
     behind = [(j, j + d) for j in range(1, d - 1)]
     for j in range(d, last, d):
         behind += ((j, j + 1), (j + d - 1, j + d - 2))
@@ -223,7 +223,6 @@ def place_exterior_door(grid: FloorGrid, rng: random.Random) -> Coord:
 class ConnectivityReport:
     """Flood-fill summary of the walkable tiles."""
     component_count: int
-    components: tuple[frozenset[Coord], ...]  # largest first
     repairs_applied: int = 0
 
     @property
@@ -231,53 +230,43 @@ class ConnectivityReport:
         return self.component_count <= 1
 
 
-def _components(grid: FloorGrid) -> list[list[int]]:
-    # Flat indices of each 4-connected group of passable tiles, largest
-    # first, ties broken by the smallest index. A group's first index is
-    # its smallest, since the scan starts every group there.
+def _label(grid: FloorGrid) -> tuple[list[int], int]:
+    # One flood fill: each passable tile's 4-connected component number
+    # (0, 1, ... in scan order), -1 on every other tile; and the number
+    # of components.
     cells, w, d = grid.cells, grid.width, grid.depth
     inner = bytearray(len(cells))  # 1 on interior tiles
     inner[d:-d] = (b"\0" + b"\1" * (d - 2) + b"\0") * (w - 2)
-    # Passable and not yet reached.
-    todo = [t >= 0 or t == DOOR or t == EXTERIOR_DOOR for t in cells]
-    components = []
-    for start, pending in enumerate(todo):
-        if not pending:
+    # -2: passable and not yet reached.
+    label = [-2 if t >= 0 or t == DOOR or t == EXTERIOR_DOOR else -1
+             for t in cells]
+    count = 0
+    for start, mark in enumerate(label):
+        if mark != -2:
             continue
-        todo[start] = False
+        label[start] = count
         stack = [start]
-        comp = []
         while stack:
             i = stack.pop()
-            comp.append(i)
             if inner[i]:
                 around = (i + d, i - d, i + 1, i - 1)
             else:  # border tiles: index arithmetic would wrap
                 x, z = divmod(i, d)
-                around = [nx * d + nz for nx, nz in grid.neighbors4(x, z)]
+                around = [nx * d + nz for nx, nz in (
+                    (x + 1, z), (x - 1, z), (x, z + 1), (x, z - 1))
+                    if 0 <= nx < w and 0 <= nz < d]
             for n in around:
-                if todo[n]:
-                    todo[n] = False
+                if label[n] == -2:
+                    label[n] = count
                     stack.append(n)
-        components.append(comp)
-    components.sort(key=lambda c: (-len(c), c[0]))
-    return components
+        count += 1
+    return label, count
 
 
-def _report(grid: FloorGrid, components: list[list[int]],
-            repairs_applied: int) -> ConnectivityReport:
-    d = grid.depth
-    return ConnectivityReport(
-        len(components),
-        tuple(frozenset([divmod(i, d) for i in comp]) for comp in components),
-        repairs_applied)
-
-
-def connected_components(grid: FloorGrid,
-                         repairs_applied: int = 0) -> ConnectivityReport:
-    """Group every passable tile (rooms, doors, entrance) into
-    4-connected components, largest first."""
-    return _report(grid, _components(grid), repairs_applied)
+def connected_components(grid: FloorGrid) -> ConnectivityReport:
+    """Count the 4-connected components of the passable tiles (rooms,
+    doors, entrance)."""
+    return ConnectivityReport(_label(grid)[1])
 
 
 def repair_connectivity(grid: FloorGrid, rng: random.Random,
@@ -292,24 +281,19 @@ def repair_connectivity(grid: FloorGrid, rng: random.Random,
     cells, d = grid.cells, grid.depth
     repairs = 0
     while True:
-        components = _components(grid)
-        if len(components) <= 1:
-            return _report(grid, components, repairs)
-        comp_of = [-1] * len(cells)
-        for k, comp in enumerate(components):
-            for i in comp:
-                comp_of[i] = k
+        label, count = _label(grid)
+        if count <= 1:
+            return ConnectivityReport(count, repairs)
         bridges: list[int] = []  # site keys, ascending
         for i in grid.interior_indices():
             if cells[i] != INTERIOR_WALL:
                 continue
             for k, step in ((0, d), (1, 1)):
-                ca, cb = comp_of[i - step], comp_of[i + step]
+                ca, cb = label[i - step], label[i + step]
                 if ca >= 0 and cb >= 0 and ca != cb:
                     bridges.append(2 * i + k)
         if not bridges:
-            raise RepairError(
-                f"{len(components)} regions cannot be joined by a "
-                "single door anywhere")
+            raise RepairError(f"{count} regions cannot be joined by a "
+                              "single door anywhere")
         _cut(cells, d, rng.choice(bridges))
         repairs += 1

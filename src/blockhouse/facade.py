@@ -4,6 +4,8 @@ Each facade starts as random noise (one cell in four glass) and runs a
 fixed number of synchronous generations. A cell's next state looks at
 the sum of itself plus its orthogonal neighbors: the cell becomes glass
 exactly when that sum lands in the configured set, otherwise solid.
+Neighbors beyond the edge count as solid, which biases glass away from
+the wall rim.
 
 A wall is one int. Row r, column c (row 0 the bottom course) is bit
 r * (length + 1) + c, and the spare bit above each row's last column is
@@ -77,9 +79,6 @@ class WallMatrix:
     def get(self, row: int, col: int) -> int:
         return self.bits >> (row * (self.length + 1) + col) & 1
 
-    def glass_count(self) -> int:
-        return self.bits.bit_count()
-
     def rows(self) -> list[str]:
         """Cells as '0'/'1' strings, bottom row first."""
         l, bits = self.length, self.bits
@@ -145,14 +144,6 @@ def _next_bits(x: int, stride: int, valid: int,
     return out & valid
 
 
-def ca_step(matrix: WallMatrix, params: CaParams) -> WallMatrix:
-    """One synchronous generation. Neighbors beyond the edge count as
-    solid, which biases glass away from the wall rim."""
-    h, l = matrix.height, matrix.length
-    return WallMatrix(h, l, _next_bits(matrix.bits, l + 1,
-                                       _valid_cells(h, l), params.glass_sums))
-
-
 def _run_generations(walls: list[WallMatrix],
                      params: CaParams) -> list[WallMatrix]:
     # Step walls of one size as a single stack (see the module docstring).
@@ -166,13 +157,6 @@ def _run_generations(walls: list[WallMatrix],
         bits = _next_bits(bits, l + 1, valid, params.glass_sums)
     mask = (1 << block) - 1
     return [WallMatrix(h, l, bits >> k * block & mask) for k in range(n)]
-
-
-def generate_wall(height: int, length: int, params: CaParams,
-                  rng: random.Random) -> WallMatrix:
-    """Initialize a wall and run it for the configured generations."""
-    return _run_generations([init_wall(height, length, params, rng)],
-                            params)[0]
 
 
 def generate_facades(width: int, depth: int, height: int, params: CaParams,

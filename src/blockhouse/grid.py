@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
 Coord = tuple[int, int]
 
@@ -41,11 +40,6 @@ _NAMED_TILES = (EMPTY, EXTERIOR_WALL, INTERIOR_WALL, DOOR, EXTERIOR_DOOR)
 
 def is_room(tile: int) -> bool:
     return tile >= 0
-
-
-def is_passable(tile: int) -> bool:
-    """Room tiles, doors, and the entrance can be walked on."""
-    return tile >= 0 or tile == DOOR or tile == EXTERIOR_DOOR
 
 
 class DimensionError(ValueError):
@@ -85,9 +79,6 @@ class FloorGrid:
     def in_bounds(self, x: int, z: int) -> bool:
         return 0 <= x < self.width and 0 <= z < self.depth
 
-    def is_border(self, x: int, z: int) -> bool:
-        return x == 0 or z == 0 or x == self.width - 1 or z == self.depth - 1
-
     def get(self, x: int, z: int) -> int:
         if not self.in_bounds(x, z):
             raise IndexError(f"position ({x}, {z}) is outside the grid")
@@ -98,38 +89,11 @@ class FloorGrid:
             raise IndexError(f"position ({x}, {z}) is outside the grid")
         self.cells[x * self.depth + z] = tile
 
-    def neighbors4(self, x: int, z: int) -> list[Coord]:
-        """In-bounds orthogonal neighbors of (x, z), never the position
-        itself and never a diagonal."""
-        if not self.in_bounds(x, z):
-            raise IndexError(f"position ({x}, {z}) is outside the grid")
-        out = []
-        for dx, dz in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nx, nz = x + dx, z + dz
-            if self.in_bounds(nx, nz):
-                out.append((nx, nz))
-        return out
-
-    def coords(self) -> Iterator[Coord]:
-        for x in range(self.width):
-            for z in range(self.depth):
-                yield (x, z)
-
-    def interior(self) -> Iterator[Coord]:
-        for x in range(1, self.width - 1):
-            for z in range(1, self.depth - 1):
-                yield (x, z)
-
     def interior_indices(self) -> list[int]:
-        """Flat indices of the interior tiles, in `interior()` order."""
+        """Flat indices of the interior tiles, ascending (x-major)."""
         d = self.depth
         return [i for column in range(d, len(self.cells) - d, d)
                 for i in range(column + 1, column + d - 1)]
-
-    def border(self) -> Iterator[Coord]:
-        for x, z in self.coords():
-            if self.is_border(x, z):
-                yield (x, z)
 
     def count(self, tile: int) -> int:
         return self.cells.count(tile)
@@ -156,7 +120,7 @@ class FloorGrid:
         """Check the border/interior state partition, raising ValueError on
         the first violation. Cheap enough to run after every stage."""
         cells, d, n = self.cells, self.depth, len(self.cells)
-        # The ring as __init__ slices it, sorted into border() order.
+        # The ring as __init__ slices it, sorted into (x, z) order.
         entrances = 0
         for i in sorted({*range(d), *range(n - d, n), *range(0, n, d),
                          *range(d - 1, n, d)}):

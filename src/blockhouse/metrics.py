@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .doors import ConnectivityReport
 from .grid import DOOR, FloorGrid, derive_seed
@@ -62,18 +62,7 @@ class BatchSummary:
     total_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "mean_avg_room_area": self.mean_avg_room_area,
-            "room_area_ci95": self.room_area_ci95,
-            "mean_door_count": self.mean_door_count,
-            "door_count_ci95": self.door_count_ci95,
-            "pre_repair_connectivity_rate": self.pre_repair_connectivity_rate,
-            "total_repairs": self.total_repairs,
-            "total_time": self.total_time,
-        }
+        return asdict(self)
 
     def format_table(self) -> str:
         rows = [

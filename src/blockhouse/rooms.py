@@ -119,8 +119,10 @@ def place_rooms(grid: FloorGrid, count: int, rng: random.Random,
 
 
 def _frontiers(grid: FloorGrid, rooms: list[Room]) -> dict[int, list[int]]:
-    # Each room's growth candidates (see growth_candidates) as sorted flat
-    # indices, from one scan of the plan's room tiles.
+    # Each room's growth candidates as sorted flat indices, from one scan
+    # of the plan's room tiles. A candidate is an empty tile orthogonally
+    # adjacent to the room and to no other room; border tiles are not
+    # empty, so they exclude themselves.
     cells, d = grid.cells, grid.depth
     found: dict[int, set[int]] = {room.id: set() for room in rooms}
     for i, rid in enumerate(cells):
@@ -136,21 +138,14 @@ def _frontiers(grid: FloorGrid, rooms: list[Room]) -> dict[int, list[int]]:
     return {rid: sorted(out) for rid, out in found.items()}
 
 
-def growth_candidates(grid: FloorGrid, room: Room) -> set[Coord]:
-    """Empty tiles the room may claim this turn: orthogonally adjacent to
-    the room, not orthogonally adjacent to any other room, and never a
-    border wall (border tiles are not empty, so they exclude themselves)."""
-    return {divmod(i, grid.depth) for i in _frontiers(grid, [room])[room.id]}
-
-
 def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random,
                 frontiers: dict[int, list[int]] | None = None) -> int:
     """One full round of turns: shuffle the order, then let each room claim
     one candidate tile. Returns how many tiles were claimed.
 
     frontiers maps each room id to the sorted flat indices (`x * depth +
-    z`) of its `growth_candidates`, kept up to date claim by claim with
-    `bisect`; when omitted, it is built for this pass.
+    z`) of its growth candidates (see `_frontiers`), kept up to date
+    claim by claim with `bisect`; when omitted, it is built for this pass.
     """
     if frontiers is None:
         frontiers = _frontiers(grid, rooms)

@@ -1,26 +1,87 @@
-"""Independent oracles, and a failure injector, shared across the test
-suite.
+"""Independent oracles, coordinate readers of plans and voxels, and a
+failure injector, shared across the test suite.
 
-Everything here recomputes results from first principles using different
+The oracles recompute results from first principles using different
 data structures and traversal orders than the library, so agreement is
-evidence rather than tautology.
+evidence rather than tautology. `ca_step`, `generated_wall` and
+`frontier` are the exceptions: they run the library's own stepping and
+frontier code on one wall or room, for tests to compare with an oracle.
 """
 
+import dataclasses
 from collections import deque
 
 import blockhouse.metrics
-from blockhouse import (
+from blockhouse.assembly import AIR, DOOR_OPENING, BuildingModel
+from blockhouse.doors import RepairError
+from blockhouse.facade import (
+    CaParams,
+    WallMatrix,
+    _run_generations,
+    init_wall,
+)
+from blockhouse.grid import (
     DOOR,
     EMPTY,
     EXTERIOR_DOOR,
     EXTERIOR_WALL,
     INTERIOR_WALL,
     FloorGrid,
-    RepairError,
-    building_seed,
 )
-from blockhouse.assembly import PASSABLE_BLOCKS, BuildingModel
-from blockhouse.facade import WallMatrix
+from blockhouse.metrics import building_seed
+from blockhouse.rooms import _frontiers
+
+# Blocks a player can occupy.
+PASSABLE_BLOCKS = frozenset({AIR, DOOR_OPENING})
+
+
+def coords(grid: FloorGrid) -> list:
+    """Every (x, z) of the grid, x-major."""
+    return [(x, z) for x in range(grid.width) for z in range(grid.depth)]
+
+
+def interior(grid: FloorGrid) -> list:
+    """The (x, z) of every tile off the border ring, x-major."""
+    return [(x, z) for x in range(1, grid.width - 1)
+            for z in range(1, grid.depth - 1)]
+
+
+def border(grid: FloorGrid) -> list:
+    """The (x, z) of every tile on the border ring, x-major."""
+    w, d = grid.width, grid.depth
+    return [(x, z) for x, z in coords(grid)
+            if x in (0, w - 1) or z in (0, d - 1)]
+
+
+def neighbors(grid: FloorGrid, x: int, z: int) -> list:
+    """The in-bounds orthogonal neighbors of (x, z)."""
+    return [(nx, nz)
+            for nx, nz in ((x + 1, z), (x - 1, z), (x, z + 1), (x, z - 1))
+            if grid.in_bounds(nx, nz)]
+
+
+def block_at(model: BuildingModel, x: int, y: int, z: int) -> int:
+    """Block (x, y, z) of the model, read from the flat `xzy` voxels."""
+    levels = model.height + 2
+    # A flat index past the end of one column would read the next one.
+    assert (0 <= x < model.width and 0 <= y < levels
+            and 0 <= z < model.depth), f"({x}, {y}, {z}) is outside"
+    return model.voxels[(x * model.depth + z) * levels + y]
+
+
+def ca_step(matrix: WallMatrix, params: CaParams) -> WallMatrix:
+    """One automaton generation, stepped by the code `generate_facades`
+    runs."""
+    return _run_generations([matrix],
+                            dataclasses.replace(params, generations=1))[0]
+
+
+def generated_wall(height: int, length: int, params: CaParams,
+                   rng) -> WallMatrix:
+    """A seed wall run for the configured generations, stepped by the
+    code `generate_facades` runs."""
+    return _run_generations([init_wall(height, length, params, rng)],
+                            params)[0]
 
 
 def ca_oracle_step(matrix: WallMatrix, glass_sums) -> list[list[int]]:
@@ -59,7 +120,8 @@ def _passable(tile: int) -> bool:
 
 def passable_components(grid: FloorGrid) -> list[frozenset]:
     """BFS flood-fill oracle with a visited matrix (the implementation
-    uses DFS over sets). Returns components in discovery order."""
+    labels a flat list with a DFS stack). Returns components in discovery
+    order."""
     visited = [[False] * grid.depth for _ in range(grid.width)]
     comps = []
     for x in range(grid.width):
@@ -85,11 +147,11 @@ def passable_components(grid: FloorGrid) -> list[frozenset]:
 
 def rooms_are_separated(grid: FloorGrid) -> bool:
     """True when no tiles of two different rooms touch orthogonally."""
-    for x, z in grid.coords():
+    for x, z in coords(grid):
         t = grid.get(x, z)
         if t < 0:
             continue
-        for nx, nz in grid.neighbors4(x, z):
+        for nx, nz in neighbors(grid, x, z):
             u = grid.get(nx, nz)
             if u >= 0 and u != t:
                 return False
@@ -98,7 +160,7 @@ def rooms_are_separated(grid: FloorGrid) -> bool:
 
 def room_tiles_connected(grid: FloorGrid, room_id: int) -> bool:
     """True when the room's tiles form one 4-connected blob."""
-    tiles = {(x, z) for x, z in grid.coords() if grid.get(x, z) == room_id}
+    tiles = {(x, z) for x, z in coords(grid) if grid.get(x, z) == room_id}
     if not tiles:
         return True
     start = next(iter(tiles))
@@ -136,6 +198,12 @@ def growth_candidates_oracle(grid: FloorGrid, room_id: int) -> set:
     return out
 
 
+def frontier(grid: FloorGrid, room) -> set:
+    """The room's growth candidates as `rooms._frontiers`, the scan
+    `grow_rooms` starts from, finds them."""
+    return {divmod(i, grid.depth) for i in _frontiers(grid, [room])[room.id]}
+
+
 def site_through(site) -> tuple:
     """The two tiles a door site connects, along its passage axis."""
     x, z = site.position
@@ -163,7 +231,7 @@ def site_is_legal(grid: FloorGrid, site, wall_rule: str = "any") -> bool:
         return False
     if ta != DOOR and tb != DOOR and ta == tb:
         return False
-    for nx, nz in grid.neighbors4(x, z):
+    for nx, nz in neighbors(grid, x, z):
         t = grid.get(nx, nz)
         if t == INTERIOR_WALL:
             return True
@@ -198,7 +266,7 @@ def expected_glass_count(model: BuildingModel) -> int:
     honoring corner ownership and the entrance carve-out."""
     plan = model.plan
     total = 0
-    for x, z in plan.border():
+    for x, z in border(plan):
         side = border_owner(x, z, plan.width, plan.depth)
         col = facade_column(side, x, z, plan.width, plan.depth)
         matrix = model.facades[side]
@@ -224,22 +292,22 @@ def voxel_walkable(model: BuildingModel) -> bool:
         for nx, nz in ((x + 1, z), (x - 1, z), (x, z + 1), (x, z - 1)):
             if not plan.in_bounds(nx, nz) or (nx, nz) in seen:
                 continue
-            if (model.block_at(nx, 1, nz) in PASSABLE_BLOCKS
-                    and model.block_at(nx, 2, nz) in PASSABLE_BLOCKS):
+            if (block_at(model, nx, 1, nz) in PASSABLE_BLOCKS
+                    and block_at(model, nx, 2, nz) in PASSABLE_BLOCKS):
                 seen.add((nx, nz))
                 queue.append((nx, nz))
-    rooms = {(x, z) for x, z in plan.coords() if plan.get(x, z) >= 0}
+    rooms = {(x, z) for x, z in coords(plan) if plan.get(x, z) >= 0}
     return rooms <= seen
 
 
 def interior_tile_conservation(grid: FloorGrid) -> bool:
     """Interior area must split exactly into room tiles, interior walls,
     and doors once growth and door placement are done."""
-    interior = (grid.width - 2) * (grid.depth - 2)
-    room_tiles = sum(1 for x, z in grid.interior() if grid.get(x, z) >= 0)
+    area = (grid.width - 2) * (grid.depth - 2)
+    room_tiles = sum(1 for x, z in interior(grid) if grid.get(x, z) >= 0)
     walls = grid.count(INTERIOR_WALL)
     doors = grid.count(DOOR)
-    return interior == room_tiles + walls + doors
+    return area == room_tiles + walls + doors
 
 
 def fail_one_building(monkeypatch, master_seed: int, index: int) -> None:

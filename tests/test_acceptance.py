@@ -12,33 +12,33 @@ import random
 
 import pytest
 
-from blockhouse import (
-    CaParams,
-    DimensionError,
-    FloorGrid,
-    RoomCountPolicy,
-    RunConfig,
-    apply_door,
-    building_seed,
-    ca_step,
-    derive_rng,
+from blockhouse.assembly import (
     export_json,
-    generate_building,
-    grow_rooms,
     import_json,
-    legal_door_sites,
     parse_ascii,
-    place_doors,
-    place_rooms,
     render_ascii,
-    room_count,
-    run_batch,
+)
+from blockhouse.doors import (
+    apply_door,
+    legal_door_sites,
+    place_doors,
     wallify_leftovers,
 )
-from blockhouse.rooms import growth_pass
+from blockhouse.facade import CaParams
+from blockhouse.grid import DimensionError, FloorGrid, derive_rng
+from blockhouse.metrics import building_seed, run_batch
+from blockhouse.pipeline import RunConfig, generate_building
+from blockhouse.rooms import (
+    RoomCountPolicy,
+    grow_rooms,
+    growth_pass,
+    place_rooms,
+    room_count,
+)
 
 from helpers import (
     ca_oracle_step,
+    ca_step,
     cells_of,
     interior_tile_conservation,
     passable_components,

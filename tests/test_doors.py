@@ -4,30 +4,33 @@ import random
 
 import pytest
 
-from blockhouse import (
+from blockhouse.assembly import parse_ascii
+from blockhouse.doors import (
+    DoorSite,
+    EntranceError,
+    RepairError,
+    apply_door,
+    connected_components,
+    legal_door_sites,
+    place_doors,
+    place_exterior_door,
+    repair_connectivity,
+    wallify_leftovers,
+)
+from blockhouse.grid import (
     DOOR,
     EXTERIOR_DOOR,
     EXTERIOR_WALL,
     INTERIOR_WALL,
-    DoorSite,
-    EntranceError,
     FloorGrid,
-    RepairError,
-    Room,
-    apply_door,
-    connected_components,
     derive_rng,
-    grow_rooms,
-    legal_door_sites,
-    parse_ascii,
-    place_doors,
-    place_exterior_door,
-    place_rooms,
-    repair_connectivity,
-    wallify_leftovers,
 )
+from blockhouse.rooms import Room, grow_rooms, place_rooms
 
 from helpers import (
+    border,
+    interior,
+    neighbors,
     passable_components,
     site_flanks,
     site_is_legal,
@@ -305,12 +308,13 @@ def test_entrance_properties():
         grid, _ = _grown(seed)
         pos = place_exterior_door(grid, derive_rng(seed, "entrance"))
         x, z = pos
-        assert grid.is_border(x, z)
+        ring = border(grid)
+        assert pos in ring
         assert pos not in ((0, 0), (grid.width - 1, 0),
                            (0, grid.depth - 1),
                            (grid.width - 1, grid.depth - 1))
         assert grid.get(x, z) == EXTERIOR_DOOR
-        inner = [n for n in grid.neighbors4(x, z) if not grid.is_border(*n)]
+        inner = [n for n in neighbors(grid, x, z) if n not in ring]
         assert len(inner) == 1
         assert grid.get(*inner[0]) >= 0
         assert grid.entrance() == pos
@@ -333,9 +337,7 @@ def test_components_match_flood_fill_oracle():
         grid, rooms = _grown(seed)
         place_doors(grid, derive_rng(seed, "doors"), rooms=rooms)
         report = connected_components(grid)
-        oracle = passable_components(grid)
-        assert set(report.components) == set(oracle)
-        assert report.component_count == len(oracle)
+        assert report.component_count == len(passable_components(grid))
 
 
 SIDES = {"x = 0": lambda w, d, x, z: x == 0,
@@ -354,14 +356,14 @@ def test_components_match_oracle_with_entrance_on_each_side(width, depth,
     for seed in range(4):
         grid, rooms = _grown(seed, width, depth)
         place_doors(grid, derive_rng(seed, "doors"), rooms=rooms)
-        for x, z in grid.border():
-            corner = len(grid.neighbors4(x, z)) == 2
+        for x, z in border(grid):
+            corner = len(neighbors(grid, x, z)) == 2
             if corner or not on_side(width, depth, x, z):
                 continue
             carved = grid.copy()
             carved.put(x, z, EXTERIOR_DOOR)
             report = connected_components(carved)
-            assert set(report.components) == set(passable_components(carved))
+            assert report.component_count == len(passable_components(carved))
 
 
 @pytest.mark.parametrize("width,depth", [(9, 9), (7, 12), (13, 6)])
@@ -372,42 +374,11 @@ def test_components_keep_border_openings_apart(width, depth):
     # opposite side, and join them.
     grid = FloorGrid(width, depth)
     wallify_leftovers(grid)
-    for x, z in grid.border():
-        if len(grid.neighbors4(x, z)) == 3:
+    for x, z in border(grid):
+        if len(neighbors(grid, x, z)) == 3:
             grid.put(x, z, EXTERIOR_DOOR)
     report = connected_components(grid)
-    assert set(report.components) == set(passable_components(grid))
-    assert sorted(len(c) for c in report.components) == sorted(
-        [width - 2, width - 2, depth - 2, depth - 2])
-
-
-def test_components_ordered_largest_first():
-    grid = parse_ascii("""\
-#######
-#0**22#
-#0**22#
-#***22#
-#1**22#
-#######
-""")
-    report = connected_components(grid)
-    assert [len(c) for c in report.components] == [8, 2, 1]
-    assert not report.connected
-    # Equal-size ties break on the smallest coordinate.
-    tie = parse_ascii(PLAN_SEALED)
-    tied = connected_components(tie)
-    assert [min(c) for c in tied.components] == sorted(
-        min(c) for c in tied.components)
-    # PLAN_SEALED's rooms differ in size; these two do not.
-    even = connected_components(parse_ascii("""\
-#######
-#11*00#
-#11*00#
-#*****#
-#######
-"""))
-    assert [sorted(c) for c in even.components] == [
-        [(1, 1), (1, 2), (2, 1), (2, 2)], [(4, 1), (4, 2), (5, 1), (5, 2)]]
+    assert report.component_count == len(passable_components(grid)) == 4
 
 
 def test_report_connected_property():
@@ -454,3 +425,62 @@ def test_repair_connects_many_seeds():
         assert len(passable_components(grid)) <= 1
         for room in rooms:
             assert room.tiles == set(grid.find(room.id))
+
+
+def _oracle_bridges(grid):
+    # (position, axis) of every wall tile whose two through sides lie in
+    # different components of the flood-fill oracle.
+    comp_of = {t: k for k, comp in enumerate(passable_components(grid))
+               for t in comp}
+    bridges = set()
+    for x, z in interior(grid):
+        if grid.get(x, z) != INTERIOR_WALL:
+            continue
+        for axis, a, b in (("x", (x - 1, z), (x + 1, z)),
+                           ("z", (x, z - 1), (x, z + 1))):
+            if a in comp_of and b in comp_of and comp_of[a] != comp_of[b]:
+                bridges.add(((x, z), axis))
+    return bridges
+
+
+def _repair_draws(grid, rng):
+    """Run repair on grid; return, for each repair, the grid before it
+    and the sites (as position and axis) it drew the door from."""
+    draws = []
+    draw = rng.choice
+
+    def choice(keys):
+        # Site keys are 2 * (x * depth + z) + (axis == "z").
+        draws.append((grid.copy(), [(divmod(k >> 1, grid.depth), "xz"[k & 1])
+                                    for k in keys]))
+        return draw(keys)
+
+    rng.choice = choice
+    try:
+        repair_connectivity(grid, rng)
+    except RepairError:
+        assert not _oracle_bridges(grid)
+    return draws
+
+
+def test_repair_bridges_join_different_oracle_components():
+    # Doorless plans grown among random wall obstacles, and PLAN_SEALED,
+    # where no wall tile bridges two components and repair must give up.
+    grids = [parse_ascii(PLAN_SEALED)]
+    for seed in range(16):
+        grid = FloorGrid(13, 9)
+        rng = random.Random(seed)
+        for x, z in interior(grid):
+            if rng.random() < 0.15:
+                grid.put(x, z, INTERIOR_WALL)
+        rooms = place_rooms(grid, 6, derive_rng(seed, "rooms"))
+        grow_rooms(grid, rooms, derive_rng(seed, "growth"))
+        wallify_leftovers(grid)
+        grids.append(grid)
+    repairs = 0
+    for grid in grids:
+        for before, sites in _repair_draws(grid, random.Random(0)):
+            assert len(sites) == len(set(sites))
+            assert set(sites) == _oracle_bridges(before)
+            repairs += 1
+    assert repairs > len(grids)

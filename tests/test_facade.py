@@ -4,19 +4,23 @@ import random
 
 import pytest
 
-from blockhouse import (
+from blockhouse.facade import (
     FACADE_ORDER,
     GLASS,
     SOLID,
     CaParams,
     WallMatrix,
-    ca_step,
     generate_facades,
-    generate_wall,
     init_wall,
 )
 
-from helpers import ca_oracle_step, cells_of, wall_of
+from helpers import (
+    ca_oracle_step,
+    ca_step,
+    cells_of,
+    generated_wall,
+    wall_of,
+)
 
 
 def test_params_defaults():
@@ -45,7 +49,7 @@ def test_params_validation():
 
 def test_matrix_defaults_to_solid():
     wall = WallMatrix(3, 4)
-    assert wall.glass_count() == 0
+    assert wall.bits.bit_count() == 0
     assert wall.rows() == ["0000", "0000", "0000"]
     with pytest.raises(ValueError):
         WallMatrix(0, 4)
@@ -56,7 +60,7 @@ def test_matrix_defaults_to_solid():
 @pytest.mark.parametrize("bits", [1 << 4, 1 << 15, -1, -(1 << 20)])
 def test_matrix_rejects_bits_outside_its_cells(bits):
     # 3x4: bits 4, 9 and 14 are spare, and 15 is past the top row.
-    assert WallMatrix(3, 4, 0b1111_01111_01111).glass_count() == 12
+    assert WallMatrix(3, 4, 0b1111_01111_01111).bits.bit_count() == 12
     with pytest.raises(ValueError, match="outside"):
         WallMatrix(3, 4, bits)
 
@@ -67,21 +71,21 @@ def test_matrix_rows_round_trip():
     assert wall.length == 4
     assert wall.get(0, 1) == GLASS
     assert wall.get(1, 3) == SOLID
-    assert wall.glass_count() == 6
+    assert wall.bits.bit_count() == 6
     assert WallMatrix.from_rows(wall.rows()) == wall
 
 
 def test_init_wall_probability_extremes():
     rng = random.Random(1)
     empty = init_wall(4, 6, CaParams(init_glass_probability=0.0), rng)
-    assert empty.glass_count() == 0
+    assert empty.bits.bit_count() == 0
     full = init_wall(4, 6, CaParams(init_glass_probability=1.0), rng)
-    assert full.glass_count() == 24
+    assert full.bits.bit_count() == 24
 
 
 def test_init_wall_glass_fraction():
     wall = init_wall(100, 100, CaParams(), random.Random(77))
-    fraction = wall.glass_count() / (100 * 100)
+    fraction = wall.bits.bit_count() / (100 * 100)
     assert abs(fraction - 0.25) < 0.02
 
 
@@ -92,7 +96,7 @@ def test_all_solid_is_a_fixed_point():
 
 def test_lone_glass_cell_dies():
     wall = WallMatrix.from_rows(["000", "010", "000"])
-    assert ca_step(wall, CaParams()).glass_count() == 0
+    assert ca_step(wall, CaParams()).bits.bit_count() == 0
 
 
 def test_glass_pair_survives():
@@ -106,7 +110,7 @@ def test_edges_pad_with_solid():
     wall = WallMatrix.from_rows(["1"])
     assert ca_step(wall, CaParams()).rows() == ["0"]
     zero_sums = CaParams(glass_sums={0})
-    assert ca_step(WallMatrix(2, 2), zero_sums).glass_count() == 4
+    assert ca_step(WallMatrix(2, 2), zero_sums).bits.bit_count() == 4
 
 
 def test_step_worked_example():
@@ -163,11 +167,11 @@ def test_packed_walls_round_trip_through_rows():
             params = CaParams(init_glass_probability=p, generations=2,
                               glass_sums={0, 1, 4, 5})
             for wall in (init_wall(h, l, params, rng),
-                         generate_wall(h, l, params, rng)):
+                         generated_wall(h, l, params, rng)):
                 rows = wall.rows()
                 assert WallMatrix.from_rows(rows) == wall
-                assert wall.glass_count() == sum(row.count("1")
-                                                 for row in rows)
+                assert wall.bits.bit_count() == sum(row.count("1")
+                                                    for row in rows)
                 assert rows == ["".join(str(wall.get(r, c))
                                         for c in range(l))
                                 for r in range(h)]
@@ -183,24 +187,24 @@ def test_from_rows_rejects_malformed_walls(rows):
 
 def test_generate_wall_zero_generations_is_the_seed():
     params = CaParams(generations=0)
-    raw = generate_wall(6, 9, params, random.Random(42))
+    raw = generated_wall(6, 9, params, random.Random(42))
     seeded = init_wall(6, 9, params, random.Random(42))
     assert raw == seeded
 
 
 def test_generate_wall_deterministic():
-    a = generate_wall(5, 12, CaParams(), random.Random(3))
-    b = generate_wall(5, 12, CaParams(), random.Random(3))
+    a = generated_wall(5, 12, CaParams(), random.Random(3))
+    b = generated_wall(5, 12, CaParams(), random.Random(3))
     assert a == b
-    c = generate_wall(5, 12, CaParams(), random.Random(4))
+    c = generated_wall(5, 12, CaParams(), random.Random(4))
     assert a != c
 
 
 def test_generated_walls_settle_into_sparse_glass():
     total = 0
     for seed in range(50):
-        wall = generate_wall(8, 20, CaParams(), random.Random(seed))
-        glass = wall.glass_count()
+        wall = generated_wall(8, 20, CaParams(), random.Random(seed))
+        glass = wall.bits.bit_count()
         total += glass
         assert glass < 8 * 20
     assert total > 0
@@ -221,5 +225,5 @@ def test_facades_deterministic_and_drawn_in_order():
     b = generate_facades(9, 6, 4, CaParams(), random.Random(11))
     assert a == b
     # North is drawn first, so it alone matches a fresh stream.
-    north = generate_wall(4, 9, CaParams(), random.Random(11))
+    north = generated_wall(4, 9, CaParams(), random.Random(11))
     assert a["north"] == north

@@ -6,11 +6,14 @@ seeds are hashed into one digest and compared with a constant. Any
 change to what the generator builds, however small, changes a digest.
 A second digest per configuration pins the plan-stage artifacts the
 first one does not see: each room's anchor and final tile set, the
-component count before repair, the repairs applied and the components
-of the final connectivity report, in order. Two non-square floors make
-sure a transposed tile layout cannot pass. A third digest pins the exact
-text `generate --format json` writes for each building, less its
-`metrics` block, which holds a wall time.
+component count before repair, the repairs applied, the final component
+count and the final plan's components, largest first. The library
+reports only a count, so the components come from the flood-fill oracle
+in helpers.py, sorted the way the report's components were when the
+constants were recorded. Two non-square floors make sure a transposed
+tile layout cannot pass. A third digest pins the exact text
+`generate --format json` writes for each building, less its `metrics`
+block, which holds a wall time.
 
 The first six building constants were recorded from the code before the
 growth frontier and the saturate door-site map became incremental; the
@@ -34,16 +37,13 @@ import json
 
 import pytest
 
-from blockhouse import (
-    FACADE_ORDER,
-    CaParams,
-    RoomCountPolicy,
-    RunConfig,
-    building_seed,
-    export_json,
-    generate_building,
-    render_ascii,
-)
+from blockhouse.assembly import export_json, render_ascii
+from blockhouse.facade import FACADE_ORDER, CaParams
+from blockhouse.metrics import building_seed
+from blockhouse.pipeline import RunConfig, generate_building
+from blockhouse.rooms import RoomCountPolicy
+
+from helpers import passable_components
 
 MASTER_SEED = 20260816
 
@@ -148,8 +148,12 @@ def artifact_parts(result) -> list[str]:
     parts.append(f"pre {result.pre_repair_components} "
                  f"repairs {result.report.repairs_applied} "
                  f"components {result.report.component_count}")
+    # The final plan's components, largest first, ties broken by the
+    # smallest coordinate: the order the recorded constants hash.
+    components = sorted(passable_components(result.plan),
+                        key=lambda comp: (-len(comp), min(comp)))
     parts.extend(";".join(f"{x},{z}" for x, z in sorted(comp))
-                 for comp in result.report.components)
+                 for comp in components)
     return parts
 
 

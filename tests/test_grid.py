@@ -2,21 +2,21 @@
 
 import pytest
 
-from blockhouse import (
+from blockhouse.assembly import parse_ascii
+from blockhouse.grid import (
     DOOR,
     EMPTY,
     EXTERIOR_DOOR,
     EXTERIOR_WALL,
-    INTERIOR_WALL,
     MIN_DIMENSION,
     DimensionError,
     FloorGrid,
     derive_rng,
     derive_seed,
-    is_passable,
     is_room,
-    parse_ascii,
 )
+
+from helpers import border, interior
 
 
 def test_minimum_dimensions_enforced():
@@ -30,9 +30,9 @@ def test_minimum_dimensions_enforced():
 
 def test_fresh_grid_is_walled_shell_around_empty_interior():
     grid = FloorGrid(7, 9)
-    for x, z in grid.border():
+    for x, z in border(grid):
         assert grid.get(x, z) == EXTERIOR_WALL
-    for x, z in grid.interior():
+    for x, z in interior(grid):
         assert grid.get(x, z) == EMPTY
     assert grid.count(EXTERIOR_WALL) == 7 * 9 - 5 * 7
     assert grid.count(EMPTY) == 5 * 7
@@ -48,19 +48,9 @@ def test_get_put_bounds_checking():
         grid.put(0, -1, EMPTY)
 
 
-def test_neighbors4_order_and_bounds():
-    grid = FloorGrid(5, 5)
-    assert grid.neighbors4(2, 2) == [(3, 2), (1, 2), (2, 3), (2, 1)]
-    assert set(grid.neighbors4(0, 0)) == {(1, 0), (0, 1)}
-    with pytest.raises(IndexError):
-        grid.neighbors4(9, 9)
-
-
 def test_tile_predicates():
     assert is_room(0) and is_room(35)
     assert not is_room(EMPTY)
-    assert is_passable(DOOR) and is_passable(EXTERIOR_DOOR) and is_passable(3)
-    assert not is_passable(INTERIOR_WALL) and not is_passable(EMPTY)
 
 
 def test_find_count_room_ids_entrance():
@@ -150,7 +140,7 @@ def test_validate_rejects_bad_border_and_interior_states():
 
 def test_validate_names_the_first_bad_border_tile_in_border_order():
     # Large enough that a set of the ring's indices iterates out of order.
-    ring = list(FloorGrid(20, 9).border())
+    ring = border(FloorGrid(20, 9))
     for k, (x, z) in enumerate(ring):
         for later in ring[k:]:
             grid = FloorGrid(20, 9)

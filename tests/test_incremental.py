@@ -5,7 +5,7 @@ date claim by claim, and saturate door placement keeps a sorted list of
 legal site keys up to date door by door. The references below are the
 rescanning algorithms they replace: growth recomputes every room's
 candidates from `cells` on every turn (`growth_candidates_oracle` in
-helpers.py, which shares no code with `growth_candidates`), and
+helpers.py, which shares no code with `rooms._frontiers`), and
 saturate recomputes `legal_door_sites` after every door. Both draw
 from the same sorted lists, so for every seed the library must consume
 the same random numbers and build exactly the same plan.
@@ -17,26 +17,23 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockhouse import (
-    DOOR,
-    EMPTY,
-    INTERIOR_WALL,
+from blockhouse.doors import (
     WALL_RULES,
-    FloorGrid,
-    PlacementError,
-    Room,
     apply_door,
-    derive_rng,
-    grow_rooms,
-    growth_candidates,
     legal_door_sites,
     place_doors,
-    place_rooms,
     wallify_leftovers,
 )
-from blockhouse.rooms import growth_pass
+from blockhouse.grid import DOOR, EMPTY, INTERIOR_WALL, FloorGrid, derive_rng
+from blockhouse.rooms import (
+    PlacementError,
+    Room,
+    grow_rooms,
+    growth_pass,
+    place_rooms,
+)
 
-from helpers import growth_candidates_oracle
+from helpers import frontier, growth_candidates_oracle, interior
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -82,7 +79,7 @@ def seeded_floor(width, depth, count, seed, obstacles):
     meets odd shapes), then room seeds placed on what is left."""
     grid = FloorGrid(width, depth)
     rng = random.Random(seed)
-    for x, z in grid.interior():
+    for x, z in interior(grid):
         if rng.random() < obstacles:
             grid.put(x, z, INTERIOR_WALL)
     try:
@@ -126,11 +123,11 @@ def test_frontiers_equal_growth_candidates_after_every_pass(
         for room in rooms}
     while rooms and growth_pass(grid, rooms, rng, frontiers):
         for room in rooms:
-            frontier = frontiers[room.id]
-            assert ({divmod(i, depth) for i in frontier}
+            kept = frontiers[room.id]
+            assert ({divmod(i, depth) for i in kept}
                     == growth_candidates_oracle(grid, room.id)
-                    == growth_candidates(grid, room))
-            assert all(a < b for a, b in zip(frontier, frontier[1:]))
+                    == frontier(grid, room))
+            assert all(a < b for a, b in zip(kept, kept[1:]))
     # The final pass claimed nothing because every frontier is empty.
     assert all(not growth_candidates_oracle(grid, room.id) for room in rooms)
 
@@ -143,14 +140,14 @@ def test_growth_candidates_match_oracle_on_arbitrary_tile_fields(
     # among walls, doors and empty tiles.
     grid = FloorGrid(width, depth)
     rng = random.Random(seed)
-    for x, z in grid.interior():
+    for x, z in interior(grid):
         if rng.random() < obstacles:
             grid.put(x, z, rng.choice([INTERIOR_WALL, DOOR]))
         else:
             grid.put(x, z, rng.choice([EMPTY, EMPTY, EMPTY, 0, 1, 2]))
     for room_id in range(3):
         room = Room(room_id, min(grid.find(room_id), default=(1, 1)), grid)
-        assert (growth_candidates(grid, room)
+        assert (frontier(grid, room)
                 == growth_candidates_oracle(grid, room_id))
 
 
@@ -184,7 +181,7 @@ def test_saturate_matches_rescanning_on_arbitrary_tile_fields(
     grid = FloorGrid(width, depth)
     rng = random.Random(seed)
     palette = [INTERIOR_WALL] * 6 + [DOOR] + [0, 1, 2, 3]
-    for x, z in grid.interior():
+    for x, z in interior(grid):
         grid.put(x, z, rng.choice(palette))
     ref_grid = grid.copy()
     draw_rng = derive_rng(seed, "doors")

@@ -10,21 +10,22 @@ import pytest
 
 import blockhouse
 
-from blockhouse import (
-    BatchError,
+from blockhouse.assembly import parse_ascii
+from blockhouse.doors import (
     ConnectivityReport,
     RepairError,
-    RoomCountPolicy,
-    RunConfig,
+    connected_components,
+)
+from blockhouse.grid import derive_seed
+from blockhouse.metrics import (
+    BatchError,
     building_seed,
     confidence_interval,
-    connected_components,
-    derive_seed,
-    generate_building,
     measure_building,
-    parse_ascii,
     run_batch,
 )
+from blockhouse.pipeline import RunConfig, generate_building
+from blockhouse.rooms import RoomCountPolicy
 
 from helpers import fail_one_building, interior_tile_conservation
 
@@ -96,7 +97,7 @@ def test_dropped_rooms_count_as_zero_area():
 
 def test_repairs_mark_plan_as_initially_disconnected():
     plan = parse_ascii(PLAN_WITH_DOOR)
-    report = ConnectivityReport(1, (), repairs_applied=2)
+    report = ConnectivityReport(1, repairs_applied=2)
     m = measure_building(plan, report, 0.0)
     assert not m.connected_before_repair
     assert m.repairs_applied == 2

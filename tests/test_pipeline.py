@@ -4,17 +4,13 @@ import dataclasses
 
 import pytest
 
-from blockhouse import (
-    DOOR,
-    EMPTY,
-    CaParams,
-    DimensionError,
-    RoomCountPolicy,
-    RunConfig,
-    generate_building,
-)
+from blockhouse.facade import CaParams
+from blockhouse.grid import DOOR, EMPTY, DimensionError
+from blockhouse.pipeline import RunConfig, generate_building
+from blockhouse.rooms import RoomCountPolicy
 
 from helpers import (
+    interior,
     interior_tile_conservation,
     passable_components,
     rooms_are_separated,
@@ -188,7 +184,7 @@ def test_door_mode_leaves_earlier_stages_alone():
     assert sweep.requested_rooms == saturate.requested_rooms
     # Room footprint before door conversion is identical, so every room
     # tile in one run is a room, door, or wall tile in the other.
-    for x, z in sweep.plan.interior():
+    for x, z in interior(sweep.plan):
         a, b = sweep.plan.get(x, z), saturate.plan.get(x, z)
         assert (a >= 0 or a == DOOR) == (b >= 0 or b == DOOR) or a != b
 

@@ -2,22 +2,24 @@
 
 import pytest
 
-from blockhouse import (
-    EMPTY,
-    INTERIOR_WALL,
-    FloorGrid,
+from blockhouse.grid import EMPTY, INTERIOR_WALL, FloorGrid, derive_rng
+from blockhouse.rooms import (
     PlacementError,
     Room,
     RoomCountPolicy,
-    derive_rng,
     grow_rooms,
-    growth_candidates,
+    growth_pass,
     place_rooms,
     room_count,
 )
-from blockhouse.rooms import growth_pass
 
-from helpers import rooms_are_separated, room_tiles_connected
+from helpers import (
+    coords,
+    frontier,
+    interior,
+    rooms_are_separated,
+    room_tiles_connected,
+)
 
 
 def test_room_count_known_values():
@@ -61,7 +63,7 @@ def test_place_rooms_two_in_seven_by_seven():
             square = {(ax, az), (ax + 1, az), (ax, az + 1), (ax + 1, az + 1)}
             assert room.tiles == square
             for x, z in square:
-                assert not grid.is_border(x, z)
+                assert (x, z) in interior(grid)
                 assert grid.get(x, z) == room.id
 
 
@@ -85,7 +87,7 @@ def test_place_rooms_drops_unplaceable_rooms():
 
 def test_place_rooms_error_when_nothing_fits():
     grid = FloorGrid(5, 5)
-    for x, z in grid.interior():
+    for x, z in interior(grid):
         grid.put(x, z, INTERIOR_WALL)
     with pytest.raises(PlacementError):
         place_rooms(grid, 2, derive_rng(0, "rooms"))
@@ -97,14 +99,13 @@ def test_growth_candidates_ring_around_lone_seed():
         grid.put(x, z, 0)
     room = Room(0, (4, 4), grid)
     expected = {(3, 4), (3, 5), (6, 4), (6, 5), (4, 3), (5, 3), (4, 6), (5, 6)}
-    assert growth_candidates(grid, room) == expected
+    assert frontier(grid, room) == expected
 
 
 def test_growth_candidates_exclude_tiles_near_other_rooms():
     # Two seeds one column apart: the gap column tiles neighbor both
     # rooms, so neither room may claim them.
     grid = FloorGrid(9, 7)
-    from blockhouse import Room
     a = Room(0, (1, 2), grid)
     b = Room(1, (4, 2), grid)
     for room in (a, b):
@@ -112,19 +113,18 @@ def test_growth_candidates_exclude_tiles_near_other_rooms():
         for x, z in ((ax, az), (ax + 1, az), (ax, az + 1), (ax + 1, az + 1)):
             grid.put(x, z, room.id)
     gap = {(3, 2), (3, 3)}
-    assert gap & growth_candidates(grid, a) == set()
-    assert gap & growth_candidates(grid, b) == set()
+    assert gap & frontier(grid, a) == set()
+    assert gap & frontier(grid, b) == set()
 
 
 def test_growth_candidates_empty_when_boxed_in():
     grid = FloorGrid(6, 6)
-    from blockhouse import Room
     room = Room(0, (1, 1), grid)
     for x, z in ((1, 1), (2, 1), (1, 2), (2, 2)):
         grid.put(x, z, 0)
     for x, z in ((3, 1), (3, 2), (1, 3), (2, 3), (3, 3)):
         grid.put(x, z, 1)
-    assert growth_candidates(grid, room) == set()
+    assert frontier(grid, room) == set()
 
 
 def test_single_room_grows_to_fill_interior():
@@ -158,7 +158,7 @@ def test_grown_rooms_stay_separated_and_connected():
         assert rooms_are_separated(grid)
         for room in rooms:
             assert room_tiles_connected(grid, room.id)
-            assert {(x, z) for x, z in grid.coords()
+            assert {(x, z) for x, z in coords(grid)
                     if grid.get(x, z) == room.id} == room.tiles
 
 
@@ -168,7 +168,7 @@ def test_no_leftover_tile_is_anyones_candidate():
         rooms = place_rooms(grid, 4, derive_rng(seed, "rooms"))
         grow_rooms(grid, rooms, derive_rng(seed, "growth"))
         for room in rooms:
-            assert growth_candidates(grid, room) == set()
+            assert frontier(grid, room) == set()
 
 
 def test_placement_and_growth_are_deterministic():

@@ -14,33 +14,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockhouse import (
-    DOOR,
-    EMPTY,
-    EXTERIOR_WALL,
-    FACADE_ORDER,
-    INTERIOR_WALL,
-    CaParams,
-    FloorGrid,
-    PlacementError,
-    Room,
-    assemble,
-    derive_rng,
-    generate_facades,
-    generate_wall,
-    init_wall,
-    place_rooms,
-)
 from blockhouse.assembly import (
     AIR,
     DOOR_OPENING,
     FLOOR_SLAB,
     ROOF_SLAB,
     SOLID_WALL,
+    assemble,
 )
-from blockhouse.rooms import _seed_fits
+from blockhouse.facade import (
+    FACADE_ORDER,
+    CaParams,
+    generate_facades,
+    init_wall,
+)
+from blockhouse.grid import (
+    DOOR,
+    EMPTY,
+    EXTERIOR_WALL,
+    INTERIOR_WALL,
+    FloorGrid,
+    derive_rng,
+)
+from blockhouse.rooms import PlacementError, Room, _seed_fits, place_rooms
 
-from helpers import ca_oracle_step, wall_of
+from helpers import (
+    block_at,
+    ca_oracle_step,
+    generated_wall,
+    interior,
+    wall_of,
+)
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
                     database=None)
@@ -73,7 +77,7 @@ def reference_place_rooms(grid, count, rng, max_attempts):
 def obstructed_floor(width, depth, seed, obstacles):
     grid = FloorGrid(width, depth)
     rng = random.Random(seed)
-    for x, z in grid.interior():
+    for x, z in interior(grid):
         if rng.random() < obstacles:
             grid.put(x, z, INTERIOR_WALL)
     return grid
@@ -131,7 +135,7 @@ def test_seeding_finds_a_lone_free_corner(corner):
     # must not stop before that corner, wherever it is.
     grid = FloorGrid(7, 6)
     x, z = corner
-    for tile in grid.interior():
+    for tile in interior(grid):
         if tile not in {(x, z), (x + 1, z), (x, z + 1), (x + 1, z + 1)}:
             grid.put(*tile, INTERIOR_WALL)
     ref_grid = grid.copy()
@@ -144,7 +148,7 @@ def test_seeding_finds_a_lone_free_corner(corner):
 
 def test_seeding_draws_nothing_on_a_floor_with_no_corner():
     grid = FloorGrid(6, 6)
-    for x, z in grid.interior():
+    for x, z in interior(grid):
         if (x + z) % 2:
             grid.put(x, z, INTERIOR_WALL)
     rng = CountingRandom(1)
@@ -192,7 +196,7 @@ def test_single_wall_matches_the_oracle(glass_sums):
         want = init_wall(height, length, params, random.Random(seed))
         for _ in range(3):
             want = wall_of(ca_oracle_step(want, glass_sums))
-        got = generate_wall(height, length, params, random.Random(seed))
+        got = generated_wall(height, length, params, random.Random(seed))
         assert got == want
 
 
@@ -214,11 +218,11 @@ def test_assembled_columns_follow_their_tiles(width, depth, seed, height):
     rng = random.Random(seed)
     # No entrance tile: assemble carves the entrance's column apart.
     palette = [EMPTY, INTERIOR_WALL, EXTERIOR_WALL, DOOR, 0, 1, 7, 40]
-    for x, z in grid.interior():
+    for x, z in interior(grid):
         grid.put(x, z, rng.choice(palette))
     facades = generate_facades(width, depth, height, CaParams(), rng)
     model = assemble(grid, facades, height)
     assert len(model.voxels) == width * depth * (height + 2)
-    for x, z in grid.interior():
-        column = [model.block_at(x, y, z) for y in range(height + 2)]
+    for x, z in interior(grid):
+        column = [block_at(model, x, y, z) for y in range(height + 2)]
         assert column == tile_column(grid.get(x, z), height)
