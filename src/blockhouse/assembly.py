@@ -254,6 +254,11 @@ def import_json(doc: dict) -> BuildingModel:
         raise LayoutError(f"unsupported schema_version {version!r}")
     try:
         plan = parse_ascii("\n".join(doc["plan"]))
+        dims = [doc["width"], doc["depth"]]
+        if (dims != [plan.width, plan.depth]
+                or not set(map(type, dims)) <= {int}):
+            raise LayoutError(f"width and depth {dims!r} contradict the "
+                              f"{plan.width}x{plan.depth} plan")
         height = doc["wall_height"]
         if type(height) is not int:  # not 4.0, "4" or true
             raise LayoutError(f"wall_height {height!r} is not an integer")
@@ -264,6 +269,8 @@ def import_json(doc: dict) -> BuildingModel:
             except ValueError as exc:
                 raise LayoutError(f"facade '{side}': {exc}") from exc
         vox = doc["voxels"]
+        if vox["order"] != "xzy":
+            raise LayoutError(f"voxels.order {vox['order']!r} is not 'xzy'")
         size = vox["size"]
         if len(size) != 3 or not set(map(type, size)) <= {int}:
             raise LayoutError(f"voxels.size must be 3 integers, not {size!r}")

@@ -125,17 +125,6 @@ def legal_door_sites(grid: FloorGrid,
             for key in _tile_sites(cells, d, i, wall_rule)}
 
 
-def apply_door(grid: FloorGrid, site: DoorSite) -> list[Coord]:
-    """Put a door at the site and wall off its two flanking tiles.
-
-    Only room tiles are converted to wall; doors and border walls beside
-    the new door are left alone. Returns the flanks it converted.
-    """
-    (x, z), d = site.position, grid.depth
-    key = 2 * (x * d + z) + (site.axis == "z")
-    return [divmod(f, d) for f in _cut(grid.cells, d, key)]
-
-
 def place_doors(grid: FloorGrid, rng: random.Random,
                 rooms: object = None,
                 wall_rule: str = DEFAULT_WALL_RULE,

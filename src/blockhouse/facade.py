@@ -27,8 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-SOLID = 0
-GLASS = 1
+# 100x the default, far more than a pattern needs to settle; the bound
+# keeps a mistyped count from running for minutes or hours.
+MAX_GENERATIONS = 1000
 
 # Facades are always generated in this order so that a given seed yields
 # the same four matrices no matter how they are later consumed.
@@ -49,6 +50,9 @@ class CaParams:
                 "is outside [0, 1]")
         if self.generations < 0:
             raise ValueError(f"generations {self.generations} is negative")
+        if self.generations > MAX_GENERATIONS:
+            raise ValueError(f"generations {self.generations} is too large "
+                             f"(maximum {MAX_GENERATIONS})")
         if not frozenset(self.glass_sums) <= frozenset(range(6)):
             raise ValueError(f"glass_sums {set(self.glass_sums)} has values "
                              "outside 0..5")
@@ -75,9 +79,6 @@ class WallMatrix:
         if self.bits & ~_valid_cells(self.height, self.length):
             raise ValueError(f"bits {self.bits:#x} fall outside the "
                              f"{self.height}x{self.length} wall's cells")
-
-    def get(self, row: int, col: int) -> int:
-        return self.bits >> (row * (self.length + 1) + col) & 1
 
     def rows(self) -> list[str]:
         """Cells as '0'/'1' strings, bottom row first."""

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from .grid import EMPTY, Coord, FloorGrid
 
 DEFAULT_MAX_ATTEMPTS = 100
+BLOCKED = -2  # the touch value of a tile no room can claim (see touch_map)
 
 
 class PlacementError(RuntimeError):
@@ -118,78 +119,76 @@ def place_rooms(grid: FloorGrid, count: int, rng: random.Random,
     return rooms
 
 
-def _frontiers(grid: FloorGrid, rooms: list[Room]) -> dict[int, list[int]]:
-    # Each room's growth candidates as sorted flat indices, from one scan
-    # of the plan's room tiles. A candidate is an empty tile orthogonally
-    # adjacent to the room and to no other room; border tiles are not
-    # empty, so they exclude themselves.
-    cells, d = grid.cells, grid.depth
-    found: dict[int, set[int]] = {room.id: set() for room in rooms}
-    for i, rid in enumerate(cells):
-        if rid < 0 or (out := found.get(rid)) is None:
-            continue
-        for n in (i + d, i - d, i + 1, i - 1):
-            if cells[n] == EMPTY and n not in out:
-                for m in (n + d, n - d, n + 1, n - 1):
-                    if (t := cells[m]) >= 0 and t != rid:
-                        break
-                else:
-                    out.add(n)
-    return {rid: sorted(out) for rid, out in found.items()}
-
-
-def growth_pass(grid: FloorGrid, rooms: list[Room], rng: random.Random,
-                frontiers: dict[int, list[int]] | None = None) -> int:
-    """One full round of turns: shuffle the order, then let each room claim
-    one candidate tile. Returns how many tiles were claimed.
-
-    frontiers maps each room id to the sorted flat indices (`x * depth +
-    z`) of its growth candidates (see `_frontiers`), kept up to date
-    claim by claim with `bisect`; when omitted, it is built for this pass.
+def touch_map(grid: FloorGrid,
+              ids: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The growth state of a seeded plan, `touch` and the frontiers:
+    touch[i] is EMPTY for an empty tile that touches no room, r for one
+    that touches only room r, and BLOCKED for every other tile (room,
+    wall, border, or empty beside two rooms or a room not in `ids`).
+    frontiers[r] is the sorted list of the flat indices (`x * depth + z`)
+    whose touch is r: room r's growth candidates.
     """
-    if frontiers is None:
-        frontiers = _frontiers(grid, rooms)
     cells, d = grid.cells, grid.depth
-    order = list(rooms)
+    listed = set(ids)
+    touch = [c if c == EMPTY else BLOCKED for c in cells]
+    near = set()
+    for i, rid in enumerate(cells):
+        if rid >= 0:
+            if rid not in listed:
+                rid = BLOCKED
+            for n in (i + d, i - d, i + 1, i - 1):
+                t = touch[n]
+                if t == EMPTY:
+                    touch[n] = rid
+                    near.add(n)
+                elif t != rid:
+                    touch[n] = BLOCKED
+    frontiers: list[list[int]] = [[] for _ in range(max(ids, default=-1) + 1)]
+    for n in sorted(near):
+        if (t := touch[n]) >= 0:
+            frontiers[t].append(n)
+    return touch, frontiers
+
+
+def growth_pass(grid: FloorGrid, ids: list[int], rng: random.Random,
+                touch: list[int], frontiers: list[list[int]]) -> int:
+    """One full round of turns: shuffle the room order, then let each room
+    claim one candidate tile. Returns how many tiles were claimed.
+
+    touch and frontiers come from `touch_map`. A claim blocks its tile
+    and reads each neighbour's touch once to keep them up to date.
+    """
+    cells, d = grid.cells, grid.depth
+    order = ids[:]
     rng.shuffle(order)
     claimed = 0
-    for room in order:
-        candidates = frontiers[room.id]
+    for rid in order:
+        candidates = frontiers[rid]
         if not candidates:
             continue  # skipped, not removed; it may simply be walled in
-        rid = room.id
         i = rng.choice(candidates)
         del candidates[bisect_left(candidates, i)]
         cells[i] = rid
+        touch[i] = BLOCKED
         claimed += 1
-        # Only this room could have had i as a candidate, since it touched
-        # no other room. Its empty neighbors now touch this room: they
-        # leave the other rooms' frontiers and join this one unless
-        # another room bars them or they are in it already (they touched
-        # it beside i). Growth never empties a tile, so a barred tile
-        # stays barred and no other frontier can change.
+        # A tile that touched no room now touches only this one; one that
+        # touched only another room now touches two. Growth never empties
+        # a tile, so a blocked tile stays blocked.
         for n in (i + d, i - d, i + 1, i - 1):
-            if cells[n] != EMPTY:
-                continue
-            barred = present = False
-            for m in (n + d, n - d, n + 1, n - 1):
-                t = cells[m]
-                if t == rid:
-                    if m != i:
-                        present = True
-                elif t >= 0:
-                    barred = True
-                    other = frontiers.get(t, [])
-                    k = bisect_left(other, n)
-                    if k < len(other) and other[k] == n:
-                        del other[k]
-            if not barred and not present:
+            t = touch[n]
+            if t == EMPTY:
+                touch[n] = rid
                 insort(candidates, n)
+            elif t >= 0 and t != rid:
+                touch[n] = BLOCKED
+                other = frontiers[t]
+                del other[bisect_left(other, n)]
     return claimed
 
 
 def grow_rooms(grid: FloorGrid, rooms: list[Room], rng: random.Random) -> None:
     """Run growth passes until an entire pass claims nothing."""
-    frontiers = _frontiers(grid, rooms)
-    while rooms and growth_pass(grid, rooms, rng, frontiers):
+    ids = [room.id for room in rooms]
+    touch, frontiers = touch_map(grid, ids)
+    while growth_pass(grid, ids, rng, touch, frontiers):
         pass

@@ -3,9 +3,10 @@ failure injector, shared across the test suite.
 
 The oracles recompute results from first principles using different
 data structures and traversal orders than the library, so agreement is
-evidence rather than tautology. `ca_step`, `generated_wall` and
-`frontier` are the exceptions: they run the library's own stepping and
-frontier code on one wall or room, for tests to compare with an oracle.
+evidence rather than tautology. `ca_step`, `generated_wall`,
+`frontier` and `apply_door` are the exceptions: they run the library's
+own stepping, frontier and door-cutting code on one wall, room or site,
+for tests to compare with an oracle.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ from collections import deque
 
 import blockhouse.metrics
 from blockhouse.assembly import AIR, DOOR_OPENING, BuildingModel
-from blockhouse.doors import RepairError
+from blockhouse.doors import RepairError, _cut
 from blockhouse.facade import (
     CaParams,
     WallMatrix,
@@ -29,10 +30,13 @@ from blockhouse.grid import (
     FloorGrid,
 )
 from blockhouse.metrics import building_seed
-from blockhouse.rooms import _frontiers
+from blockhouse.rooms import BLOCKED, touch_map
 
 # Blocks a player can occupy.
 PASSABLE_BLOCKS = frozenset({AIR, DOOR_OPENING})
+# The two values of a facade cell.
+SOLID = 0
+GLASS = 1
 
 
 def coords(grid: FloorGrid) -> list:
@@ -69,6 +73,23 @@ def block_at(model: BuildingModel, x: int, y: int, z: int) -> int:
     return model.voxels[(x * model.depth + z) * levels + y]
 
 
+def wall_cell(matrix: WallMatrix, row: int, col: int) -> int:
+    """Cell (row, col) of a wall, SOLID or GLASS, read from its bits."""
+    return matrix.bits >> (row * (matrix.length + 1) + col) & 1
+
+
+def apply_door(grid: FloorGrid, site) -> list:
+    """Put a door at the site and wall off its two flanking tiles, through
+    the cut `place_doors` makes.
+
+    Only room tiles are converted to wall; doors and border walls beside
+    the new door are left alone. Returns the flanks it converted.
+    """
+    (x, z), d = site.position, grid.depth
+    key = 2 * (x * d + z) + (site.axis == "z")
+    return [divmod(f, d) for f in _cut(grid.cells, d, key)]
+
+
 def ca_step(matrix: WallMatrix, params: CaParams) -> WallMatrix:
     """One automaton generation, stepped by the code `generate_facades`
     runs."""
@@ -91,7 +112,7 @@ def ca_oracle_step(matrix: WallMatrix, glass_sums) -> list[list[int]]:
     h, w = matrix.height, matrix.length
     padded = [[0] * (w + 2)]
     for r in range(h):
-        padded.append([0] + [matrix.get(r, c) for c in range(w)] + [0])
+        padded.append([0] + [wall_cell(matrix, r, c) for c in range(w)] + [0])
     padded.append([0] * (w + 2))
     out = [[0] * w for _ in range(h)]
     for c in range(1, w + 1):
@@ -109,8 +130,8 @@ def wall_of(cells: list[list[int]]) -> WallMatrix:
 
 
 def cells_of(matrix: WallMatrix) -> list[list[int]]:
-    """A wall's cells as nested 0/1 lists, read one `get` at a time."""
-    return [[matrix.get(r, c) for c in range(matrix.length)]
+    """A wall's cells as nested 0/1 lists, read one cell at a time."""
+    return [[wall_cell(matrix, r, c) for c in range(matrix.length)]
             for r in range(matrix.height)]
 
 
@@ -178,7 +199,8 @@ def room_tiles_connected(grid: FloorGrid, room_id: int) -> bool:
 def growth_candidates_oracle(grid: FloorGrid, room_id: int) -> set:
     """Growth candidates read from `cells` alone: the empty tiles with a
     tile of the room beside them and no tile of another room (the
-    implementation steps flat indices out from every room tile at once)."""
+    implementation keeps a touch map of flat indices up to date claim by
+    claim)."""
     cells, w, d = grid.cells, grid.width, grid.depth
 
     def beside(x, z):
@@ -198,10 +220,32 @@ def growth_candidates_oracle(grid: FloorGrid, room_id: int) -> set:
     return out
 
 
+def touch_oracle(grid: FloorGrid, ids) -> list:
+    """The touch map read from `cells` alone, by coordinates: EMPTY for an
+    empty tile with no room tile beside it, r for one beside tiles of
+    room r alone when r is in `ids`, and BLOCKED for every other tile."""
+    cells, w, d = grid.cells, grid.width, grid.depth
+    out = [BLOCKED] * len(cells)
+    for i, t in enumerate(cells):
+        if t != EMPTY:
+            continue
+        x, z = divmod(i, d)
+        near = {u for nx, nz in ((x + 1, z), (x - 1, z),
+                                 (x, z + 1), (x, z - 1))
+                if 0 <= nx < w and 0 <= nz < d
+                and (u := cells[nx * d + nz]) >= 0}
+        if not near:
+            out[i] = EMPTY
+        elif len(near) == 1 and (r := near.pop()) in ids:
+            out[i] = r
+    return out
+
+
 def frontier(grid: FloorGrid, room) -> set:
-    """The room's growth candidates as `rooms._frontiers`, the scan
-    `grow_rooms` starts from, finds them."""
-    return {divmod(i, grid.depth) for i in _frontiers(grid, [room])[room.id]}
+    """The room's growth candidates as `rooms.touch_map`, the scan
+    `grow_rooms` starts from, finds them with only this room listed."""
+    return {divmod(i, grid.depth)
+            for i in touch_map(grid, [room.id])[1][room.id]}
 
 
 def site_through(site) -> tuple:
@@ -273,7 +317,7 @@ def expected_glass_count(model: BuildingModel) -> int:
         for y in range(1, model.height + 1):
             if model.entrance == (x, z) and y in (1, 2):
                 continue
-            total += matrix.get(y - 1, col)
+            total += wall_cell(matrix, y - 1, col)
     return total
 
 

@@ -19,7 +19,6 @@ from blockhouse.assembly import (
     render_ascii,
 )
 from blockhouse.doors import (
-    apply_door,
     legal_door_sites,
     place_doors,
     wallify_leftovers,
@@ -34,9 +33,11 @@ from blockhouse.rooms import (
     growth_pass,
     place_rooms,
     room_count,
+    touch_map,
 )
 
 from helpers import (
+    apply_door,
     ca_oracle_step,
     ca_step,
     cells_of,
@@ -195,9 +196,11 @@ def test_criterion_8_property_suite():
             grid = FloorGrid(9, 9)
             rng = derive_rng(seed, "grow")
             rooms = place_rooms(grid, 4, rng)
+            ids = [r.id for r in rooms]
+            touch, frontiers = touch_map(grid, ids)
             total = sum(len(r.tiles) for r in rooms)
             for _ in range(9 * 9 + 1):
-                claimed = growth_pass(grid, rooms, rng)
+                claimed = growth_pass(grid, ids, rng, touch, frontiers)
                 now = sum(len(r.tiles) for r in rooms)
                 assert now == total + claimed, "claims must add one tile each"
                 total = now

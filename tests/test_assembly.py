@@ -21,17 +21,19 @@ from blockhouse.assembly import (
     render_ascii,
     tile_char,
 )
-from blockhouse.facade import GLASS, CaParams, generate_facades
+from blockhouse.facade import CaParams, generate_facades
 from blockhouse.grid import DimensionError, FloorGrid
 from blockhouse.pipeline import RunConfig, generate_building
 
 from helpers import (
+    GLASS,
     block_at,
     border,
     border_owner,
     expected_glass_count,
     facade_column,
     voxel_walkable,
+    wall_cell,
 )
 
 PLAN_SMALL = """\
@@ -90,7 +92,7 @@ def test_entrance_carved_through_facade():
     assert block_at(model, 0, 1, 2) == DOOR_OPENING
     assert block_at(model, 0, 2, 2) == DOOR_OPENING
     west = model.facades["west"]
-    expected = GLASS_BLOCK if west.get(2, 2) == GLASS else SOLID_WALL
+    expected = GLASS_BLOCK if wall_cell(west, 2, 2) == GLASS else SOLID_WALL
     assert block_at(model, 0, 3, 2) == expected
 
 
@@ -103,7 +105,7 @@ def test_border_columns_come_from_owner_facades():
         for y in range(1, model.height + 1):
             if (x, z) == model.entrance and y <= 2:
                 continue
-            cell = matrix.get(y - 1, col)
+            cell = wall_cell(matrix, y - 1, col)
             want = GLASS_BLOCK if cell == GLASS else SOLID_WALL
             assert block_at(model, x, y, z) == want
 

@@ -111,6 +111,26 @@ def test_dimensions_above_the_maximum_exit_two(capsys, monkeypatch, tmp_path,
     assert (rc, out, err.splitlines()) == (2, "", expected)
 
 
+@pytest.mark.parametrize("command", ["generate", "batch"])
+def test_ca_generations_above_the_maximum_exit_two(capsys, monkeypatch,
+                                                   tmp_path, command):
+    def never(*args, **kwargs):
+        raise AssertionError("ran the automaton past its generation limit")
+
+    monkeypatch.setattr("blockhouse.cli.generate_building", never)
+    monkeypatch.setattr("blockhouse.cli.run_batch", never)
+    expected = ["invalid configuration: generations 100000000 is too large "
+                "(maximum 1000)"]
+    rc, out, err = run(capsys, command, "--width", "7", "--depth", "7",
+                       "--ca-generations", "100000000")
+    assert (rc, out, err.splitlines()) == (2, "", expected)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"width": 7, "depth": 7,
+                                  "ca": {"generations": 100000000}}))
+    rc, out, err = run(capsys, command, "--config", str(config))
+    assert (rc, out, err.splitlines()) == (2, "", expected)
+
+
 def test_generate_rejects_bad_rooms_policy(capsys):
     rc, _, err = run(capsys, *GEN77, "--rooms", "explicit:zero")
     assert rc == 2
@@ -308,6 +328,10 @@ def _first_solid_wall_as_true(blocks):
     return blocks
 
 
+def _missing(value):
+    """Marks a field the test deletes rather than rewrites."""
+
+
 def _room_on_the_border(plan):
     # The facades repaint the border columns, so the voxels still agree
     # with the rebuilt model; only plan validation sees this.
@@ -334,11 +358,22 @@ def _room_on_the_border(plan):
     (("wall_height",), None),
     (("plan",), ["###"]),
     (("plan",), "#"),
+    (("width",), 99),
+    (("width",), "x"),
+    (("width",), 7.0),
+    (("depth",), 6),
+    (("depth",), None),
+    (("voxels", "order"), "yxz"),
+    (("voxels", "order"), None),
+    (("width",), _missing),
+    (("depth",), _missing),
+    (("voxels", "order"), _missing),
 ], ids=lambda v: (".".join(v) if isinstance(v, tuple)
                   else v.__name__ if callable(v) else repr(v)))
 def test_render_rejects_malformed_fields(capsys, tmp_path, field, value):
     # The document is otherwise the one generate wrote, with wall height
-    # 4 and a 7x6x7 voxel volume. A function value rewrites the field.
+    # 4 and a 7x6x7 voxel volume. A function value rewrites the field,
+    # and _missing deletes it.
     path = tmp_path / "b.json"
     run(capsys, *GEN77, "--format", "json", "--out", str(path))
     doc = json.loads(path.read_text())
@@ -346,7 +381,10 @@ def test_render_rejects_malformed_fields(capsys, tmp_path, field, value):
     target = doc
     for name in parents:
         target = target[name]
-    target[key] = value(target[key]) if callable(value) else value
+    if value is _missing:
+        del target[key]
+    else:
+        target[key] = value(target[key]) if callable(value) else value
     path.write_text(json.dumps(doc))
     rc, out, err = run(capsys, "render", str(path))
     assert rc == 4

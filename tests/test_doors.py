@@ -9,7 +9,6 @@ from blockhouse.doors import (
     DoorSite,
     EntranceError,
     RepairError,
-    apply_door,
     connected_components,
     legal_door_sites,
     place_doors,
@@ -28,6 +27,7 @@ from blockhouse.grid import (
 from blockhouse.rooms import Room, grow_rooms, place_rooms
 
 from helpers import (
+    apply_door,
     border,
     interior,
     neighbors,

@@ -6,8 +6,6 @@ import pytest
 
 from blockhouse.facade import (
     FACADE_ORDER,
-    GLASS,
-    SOLID,
     CaParams,
     WallMatrix,
     generate_facades,
@@ -15,10 +13,13 @@ from blockhouse.facade import (
 )
 
 from helpers import (
+    GLASS,
+    SOLID,
     ca_oracle_step,
     ca_step,
     cells_of,
     generated_wall,
+    wall_cell,
     wall_of,
 )
 
@@ -43,6 +44,9 @@ def test_params_validation():
         CaParams(init_glass_probability=1.5)
     with pytest.raises(ValueError):
         CaParams(generations=-1)
+    with pytest.raises(ValueError, match=r"too large \(maximum 1000\)"):
+        CaParams(generations=1001)
+    assert CaParams(generations=1000).generations == 1000
     with pytest.raises(ValueError):
         CaParams(glass_sums={2, 6})
 
@@ -69,8 +73,8 @@ def test_matrix_rows_round_trip():
     wall = WallMatrix.from_rows(["0101", "1100", "0011"])
     assert wall.height == 3
     assert wall.length == 4
-    assert wall.get(0, 1) == GLASS
-    assert wall.get(1, 3) == SOLID
+    assert wall_cell(wall, 0, 1) == GLASS
+    assert wall_cell(wall, 1, 3) == SOLID
     assert wall.bits.bit_count() == 6
     assert WallMatrix.from_rows(wall.rows()) == wall
 
@@ -172,7 +176,7 @@ def test_packed_walls_round_trip_through_rows():
                 assert WallMatrix.from_rows(rows) == wall
                 assert wall.bits.bit_count() == sum(row.count("1")
                                                     for row in rows)
-                assert rows == ["".join(str(wall.get(r, c))
+                assert rows == ["".join(str(wall_cell(wall, r, c))
                                         for c in range(l))
                                 for r in range(h)]
 

@@ -1,25 +1,26 @@
 """Oracle tests for the plan stage's two incremental loops.
 
-Growth keeps each room's frontier, a sorted list of tile indices, up to
-date claim by claim, and saturate door placement keeps a sorted list of
-legal site keys up to date door by door. The references below are the
-rescanning algorithms they replace: growth recomputes every room's
-candidates from `cells` on every turn (`growth_candidates_oracle` in
-helpers.py, which shares no code with `rooms._frontiers`), and
-saturate recomputes `legal_door_sites` after every door. Both draw
-from the same sorted lists, so for every seed the library must consume
-the same random numbers and build exactly the same plan.
+Growth keeps a touch map and each room's frontier, a sorted list of
+tile indices, up to date claim by claim, and saturate door placement
+keeps a sorted list of legal site keys up to date door by door. The
+references below are the rescanning algorithms they replace: growth
+recomputes every room's candidates from `cells` on every turn
+(`growth_candidates_oracle` and `touch_oracle` in helpers.py, which
+share no code with `rooms.touch_map`), and saturate recomputes
+`legal_door_sites` after every door. Both draw from the same sorted
+lists, so for every seed the library must consume the same random
+numbers and build exactly the same plan.
 """
 
 import copy
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockhouse.doors import (
     WALL_RULES,
-    apply_door,
     legal_door_sites,
     place_doors,
     wallify_leftovers,
@@ -31,9 +32,17 @@ from blockhouse.rooms import (
     grow_rooms,
     growth_pass,
     place_rooms,
+    room_count,
+    touch_map,
 )
 
-from helpers import frontier, growth_candidates_oracle, interior
+from helpers import (
+    apply_door,
+    frontier,
+    growth_candidates_oracle,
+    interior,
+    touch_oracle,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -110,26 +119,63 @@ def test_grow_rooms_matches_rescanning_growth(width, depth, count, seed,
     assert rng.getstate() == ref_rng.getstate()
 
 
+def frontiers_of(touch, ids):
+    """Each listed room's frontier: the sorted indices whose touch is it."""
+    out = {rid: [] for rid in ids}
+    for i, t in enumerate(touch):
+        if t >= 0:
+            out[t].append(i)
+    return out
+
+
 @SETTINGS
 @given(sizes, sizes, room_counts, seeds, obstacle_shares)
 def test_frontiers_equal_growth_candidates_after_every_pass(
         width, depth, count, seed, obstacles):
-    # growth_pass keeps each frontier as a sorted list of flat indices
-    # x * depth + z.
+    # growth_pass keeps the touch map and each frontier, a sorted list of
+    # flat indices x * depth + z; here both start from the oracle.
     grid, rooms = seeded_floor(width, depth, count, seed, obstacles)
     rng = derive_rng(seed, "growth")
-    frontiers = {room.id: sorted(
-        x * depth + z for x, z in growth_candidates_oracle(grid, room.id))
-        for room in rooms}
-    while rooms and growth_pass(grid, rooms, rng, frontiers):
+    ids = [room.id for room in rooms]
+    touch = touch_oracle(grid, ids)
+    start = frontiers_of(touch, ids)
+    frontiers = [start.get(rid, []) for rid in range(max(ids, default=-1) + 1)]
+    while growth_pass(grid, ids, rng, touch, frontiers):
+        # A fresh scan of the grown plan finds the state kept claim by claim.
+        assert touch_map(grid, ids) == (touch, frontiers)
         for room in rooms:
             kept = frontiers[room.id]
             assert ({divmod(i, depth) for i in kept}
-                    == growth_candidates_oracle(grid, room.id)
-                    == frontier(grid, room))
+                    == growth_candidates_oracle(grid, room.id))
             assert all(a < b for a, b in zip(kept, kept[1:]))
     # The final pass claimed nothing because every frontier is empty.
     assert all(not growth_candidates_oracle(grid, room.id) for room in rooms)
+
+
+@pytest.mark.parametrize("size, seed, obstacles",
+                         [(40, 1, 0.0), (40, 2, 0.15), (64, 3, 0.15)])
+def test_touch_map_matches_rescan_after_every_pass_on_large_floors(
+        size, seed, obstacles):
+    # The hypothesis floors stop at 30; formula room counts here give 12
+    # and 16 rooms. A per-turn replay costs seconds at 64x64, so the
+    # touch map and frontiers are rescanned after every pass instead.
+    grid, rooms = seeded_floor(size, size, room_count(size, size), seed,
+                               obstacles)
+    grown, grown_rooms = copy.deepcopy((grid, rooms))
+    grown_rng = derive_rng(seed, "growth")
+    grow_rooms(grown, grown_rooms, grown_rng)
+    rng = derive_rng(seed, "growth")
+    ids = [room.id for room in rooms]
+    touch, frontiers = touch_map(grid, ids)
+    passes = 0
+    while growth_pass(grid, ids, rng, touch, frontiers):
+        passes += 1
+        assert touch == touch_oracle(grid, ids)
+        kept = {rid: frontiers[rid] for rid in ids}
+        assert kept == frontiers_of(touch, ids)
+    assert passes > size
+    assert grid == grown
+    assert rng.getstate() == grown_rng.getstate()
 
 
 @SETTINGS
@@ -149,6 +195,9 @@ def test_growth_candidates_match_oracle_on_arbitrary_tile_fields(
         room = Room(room_id, min(grid.find(room_id), default=(1, 1)), grid)
         assert (frontier(grid, room)
                 == growth_candidates_oracle(grid, room_id))
+    # Room 1 left out of the list bars the tiles beside it.
+    for ids in ([0, 1, 2], [0, 2]):
+        assert touch_map(grid, ids)[0] == touch_oracle(grid, ids)
 
 
 @SETTINGS

@@ -11,6 +11,7 @@ from blockhouse.rooms import (
     growth_pass,
     place_rooms,
     room_count,
+    touch_map,
 )
 
 from helpers import (
@@ -117,6 +118,23 @@ def test_growth_candidates_exclude_tiles_near_other_rooms():
     assert gap & frontier(grid, b) == set()
 
 
+def test_room_left_out_of_the_list_still_bars_its_neighbours():
+    # Room 1 sits three columns from room 0 but is not passed to growth:
+    # it never grows, and room 0 never claims a tile beside it.
+    grid = FloorGrid(9, 7)
+    for room_id, (ax, az) in ((0, (1, 2)), (1, (5, 2))):
+        for x, z in ((ax, az), (ax + 1, az), (ax, az + 1), (ax + 1, az + 1)):
+            grid.put(x, z, room_id)
+    kept = set(grid.find(1))
+    beside = {(x + dx, z + dz) for x, z in kept
+              for dx, dz in ((1, 0), (-1, 0), (0, 1), (0, -1))} - kept
+    grow_rooms(grid, [Room(0, (1, 2), grid)], derive_rng(5, "growth"))
+    assert set(grid.find(1)) == kept
+    assert rooms_are_separated(grid)
+    assert all(grid.get(x, z) != 0 for x, z in beside)
+    assert grid.count(0) > 4
+
+
 def test_growth_candidates_empty_when_boxed_in():
     grid = FloorGrid(6, 6)
     room = Room(0, (1, 1), grid)
@@ -140,9 +158,11 @@ def test_growth_is_monotone_and_terminates():
         grid = FloorGrid(9, 9)
         rooms = place_rooms(grid, 3, derive_rng(seed, "rooms"))
         rng = derive_rng(seed, "growth")
+        ids = [r.id for r in rooms]
+        touch, frontiers = touch_map(grid, ids)
         passes = 0
         before = {r.id: set(r.tiles) for r in rooms}
-        while growth_pass(grid, rooms, rng):
+        while growth_pass(grid, ids, rng, touch, frontiers):
             passes += 1
             assert passes <= 7 * 7, "growth failed to terminate"
             for room in rooms:
