@@ -21,10 +21,9 @@ from .assembly import (
     parse_ascii,
     render_ascii,
 )
-from .doors import DOOR_MODES, WALL_RULES, EntranceError, RepairError
-from .grid import DimensionError
+from .doors import EntranceError, RepairError
 from .metrics import BatchError, measure_building, run_batch
-from .pipeline import INT_KEYS, RunConfig, generate_building
+from .pipeline import CONFIG_KEYS, RunConfig, generate_building
 from .rooms import PlacementError
 
 _STAGE_NAMES = {
@@ -37,33 +36,19 @@ _STAGE_NAMES = {
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="JSON config file; explicit flags override it")
-    parser.add_argument("--width", type=int, help="floor width in blocks")
-    parser.add_argument("--depth", type=int, help="floor depth in blocks")
-    parser.add_argument("--height", type=int,
-                        help="wall height in blocks (default 4)")
-    parser.add_argument("--seed", type=int,
-                        help="random seed; drawn from entropy when omitted")
-    parser.add_argument("--rooms", metavar="POLICY",
-                        help="room count policy: 'formula' or 'explicit:<n>'")
-    parser.add_argument("--max-attempts", type=int, dest="max_attempts",
-                        help="placement attempts per room (default 100)")
-    parser.add_argument("--ca-glass-prob", type=float, dest="ca_glass_prob",
-                        help="initial glass probability (default 0.25)")
-    parser.add_argument("--ca-generations", type=int, dest="ca_generations",
-                        help="automaton generations (default 10)")
-    parser.add_argument("--ca-glass-sums", dest="ca_glass_sums",
-                        metavar="SUMS",
-                        help="comma-separated neighbor sums that turn a "
-                             "cell to glass (default 2,3)")
-    parser.add_argument("--door-walls", dest="door_walls",
-                        choices=WALL_RULES,
-                        help="which walls satisfy a door's adjacent-wall "
-                             "rule (default any)")
-    parser.add_argument("--door-mode", dest="door_mode",
-                        choices=DOOR_MODES,
-                        help="door placement: one random pass over the "
-                             "walls, or saturate every legal site "
-                             "(default sweep)")
+    # Width and depth have no default, and a None seed is drawn at random.
+    defaults = RunConfig(width=None, depth=None)
+    for key in CONFIG_KEYS:
+        default = getattr(defaults.ca if "." in key.path else defaults,
+                          key.field)
+        if isinstance(default, frozenset):
+            default = ",".join(map(str, sorted(default)))
+        parser.add_argument(
+            key.flag, metavar=key.metavar,
+            type={"an integer": int, "a number": float}.get(key.kind),
+            choices=key.allowed if key.kind == "a string" else None,
+            help=key.help if default is None
+            else f"{key.help} (default {default})")
 
 
 def _load_json(text: str):
@@ -79,34 +64,21 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = _load_json(fh.read())
-        if not isinstance(loaded, dict):
+            data = _load_json(fh.read())
+        if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a "
                              "JSON object")
-        data.update(loaded)
-    for key in INT_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            data[key] = value
-    if args.rooms is not None:
-        data["rooms"] = args.rooms
-    if args.door_walls is not None:
-        data["door_walls"] = args.door_walls
-    if args.door_mode is not None:
-        data["door_mode"] = args.door_mode
-    ca = data.get("ca", {})
-    # The flags merge into an object only; from_dict rejects anything else.
-    if isinstance(ca, dict):
-        if args.ca_glass_prob is not None:
-            ca["init_glass_probability"] = args.ca_glass_prob
-        if args.ca_generations is not None:
-            ca["generations"] = args.ca_generations
-        if args.ca_glass_sums is not None:
-            ca["glass_sums"] = [int(part) for part in
-                                args.ca_glass_sums.split(",")
-                                if part.strip()]
-        if ca:
-            data["ca"] = ca
+    for key in CONFIG_KEYS:
+        section, _, name = key.path.rpartition(".")
+        target = data.setdefault(section, {}) if section else data
+        # argparse names each flag's attribute after the flag.
+        value = getattr(args, key.flag[2:].replace("-", "_"))
+        # The flags merge into an object only; from_dict rejects the rest.
+        if value is not None and isinstance(target, dict):
+            if key.kind == "a list of integers":
+                value = [int(part) for part in value.split(",")
+                         if part.strip()]
+            target[name] = value
     return RunConfig.from_dict(data).validate()
 
 
@@ -246,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except (DimensionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .doors import ConnectivityReport
@@ -109,20 +110,21 @@ def measure_building(plan: FloorGrid, report: ConnectivityReport,
     is over the rooms asked for, not just the survivors. Door count is
     the interior doors only; the entrance is not included.
     """
-    surviving = plan.room_ids()
+    counts = Counter(plan.cells)
+    surviving = sorted(tile for tile in counts if tile >= 0)
     if requested_rooms is None:
         ids: list[int] = surviving
     else:
         ids = list(range(max(requested_rooms,
                              max(surviving, default=-1) + 1)))
-    areas = tuple(plan.cells.count(rid) for rid in ids)
+    areas = tuple(counts[rid] for rid in ids)
     # What statistics.fmean computes, without importing it.
     avg = math.fsum(areas) / len(areas) if areas else 0.0
     return BuildingMetrics(
         room_count=len(surviving),
         room_areas=areas,
         avg_room_area=avg,
-        interior_door_count=plan.count(DOOR),
+        interior_door_count=counts[DOOR],
         connected_before_repair=report.repairs_applied == 0,
         repairs_applied=report.repairs_applied,
         generation_time=elapsed,

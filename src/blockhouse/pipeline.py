@@ -9,6 +9,7 @@ randomness of the stages after it.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from .assembly import DEFAULT_HEIGHT, MIN_HEIGHT, BuildingModel, assemble
@@ -40,16 +41,58 @@ from .rooms import (
 # (floor and roof included) must fit Minecraft's 256-block height.
 MAX_DIMENSION = 256
 MAX_HEIGHT = 254
-# The config keys that hold plain integers, each also a CLI flag.
-INT_KEYS = ("width", "depth", "height", "seed", "max_attempts")
+
+# A config value's JSON types, keyed by how error messages name them.
+_JSON_TYPES = {"an integer": (int,), "a number": (int, float),
+               "a string": (str,), "a list of integers": (list,)}
+
+# One row of CONFIG_KEYS: a key's path in the config file ("ca.<name>"
+# nests under "ca"), the RunConfig (for ca keys, CaParams) field it sets,
+# CLI flag, JSON type, the inclusive (low, high) bounds (high None: no
+# maximum) or allowed strings that validate checks (None: neither;
+# CaParams checks its own), CLI help and, where the flag's name will not
+# do, metavar. Not a dataclass: building one adds to every import's time.
+ConfigKey = namedtuple("ConfigKey", "path field flag kind allowed help "
+                       "metavar", defaults=[None])
+
+# In config-file order: to_dict writes the keys, and the CLI lists the
+# flags, in this order.
+CONFIG_KEYS = (
+    ConfigKey("width", "width", "--width", "an integer",
+              (MIN_DIMENSION, MAX_DIMENSION), "floor width in blocks"),
+    ConfigKey("depth", "depth", "--depth", "an integer",
+              (MIN_DIMENSION, MAX_DIMENSION), "floor depth in blocks"),
+    ConfigKey("height", "height", "--height", "an integer",
+              (MIN_HEIGHT, MAX_HEIGHT), "wall height in blocks"),
+    ConfigKey("seed", "seed", "--seed", "an integer", None,
+              "random seed; drawn from entropy when omitted"),
+    ConfigKey("rooms", "room_policy", "--rooms", "a string", None,
+              "room count policy: 'formula' or 'explicit:<n>'", "POLICY"),
+    ConfigKey("max_attempts", "max_attempts", "--max-attempts", "an integer",
+              (1, None), "placement attempts per room"),
+    ConfigKey("ca.init_glass_probability", "init_glass_probability",
+              "--ca-glass-prob", "a number", None,
+              "initial glass probability"),
+    ConfigKey("ca.generations", "generations", "--ca-generations",
+              "an integer", None, "automaton generations"),
+    ConfigKey("ca.glass_sums", "glass_sums", "--ca-glass-sums",
+              "a list of integers", None, "comma-separated neighbor sums "
+              "that turn a cell to glass", "SUMS"),
+    ConfigKey("door_walls", "wall_rule", "--door-walls", "a string",
+              WALL_RULES, "which walls satisfy a door's adjacent-wall rule"),
+    ConfigKey("door_mode", "door_mode", "--door-mode", "a string",
+              DOOR_MODES, "door placement: one random pass over the walls, "
+              "or saturate every legal site"),
+)
 
 
-def _require(key: str, value, types: tuple = (int,),
-             what: str = "an integer") -> None:
+def _require(path: str, value, kind: str) -> None:
     # An exact type test: bool is an int subclass, and 7.9 or true must
     # not pass as 7 or 1.
-    if type(value) not in types:
-        raise ValueError(f"config key '{key}' must be {what}, not {value!r}")
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ValueError(f"config key '{path}' must be {kind}, not {value!r}")
+    for i, item in enumerate(value if kind == "a list of integers" else ()):
+        _require(f"{path}[{i}]", item, "an integer")
 
 
 @dataclass(frozen=True)
@@ -68,94 +111,67 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Check every field against the stage preconditions; returns
         self so calls can chain."""
-        for key, low, high in (("width", MIN_DIMENSION, MAX_DIMENSION),
-                               ("depth", MIN_DIMENSION, MAX_DIMENSION),
-                               ("height", MIN_HEIGHT, MAX_HEIGHT)):
-            value = getattr(self, key)
+        for key in CONFIG_KEYS:
+            if key.allowed is None:
+                continue
+            value = getattr(self, key.field)
+            if key.kind == "a string":
+                if value not in key.allowed:
+                    raise ValueError(f"{key.path} {value!r} is not one of "
+                                     f"{key.allowed}")
+                continue
+            low, high = key.allowed
             if value < low:
                 raise DimensionError(
-                    f"{key} {value} is too small (minimum {low})")
-            if value > high:
+                    f"{key.path} {value} is too small (minimum {low})")
+            if high is not None and value > high:
                 raise DimensionError(
-                    f"{key} {value} is too large (maximum {high})")
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts {self.max_attempts} must be at least 1")
-        if self.wall_rule not in WALL_RULES:
-            raise ValueError(
-                f"wall rule {self.wall_rule!r} is not one of {WALL_RULES}")
-        if self.door_mode not in DOOR_MODES:
-            raise ValueError(
-                f"door mode {self.door_mode!r} is not one of {DOOR_MODES}")
+                    f"{key.path} {value} is too large (maximum {high})")
         return self
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=seed)
 
     def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "depth": self.depth,
-            "height": self.height,
-            "seed": self.seed,
-            "rooms": str(self.room_policy),
-            "max_attempts": self.max_attempts,
-            "ca": {
-                "init_glass_probability": self.ca.init_glass_probability,
-                "generations": self.ca.generations,
-                "glass_sums": sorted(self.ca.glass_sums),
-            },
-            "door_walls": self.wall_rule,
-            "door_mode": self.door_mode,
-        }
+        data: dict = {}
+        for key in CONFIG_KEYS:
+            section, _, name = key.path.rpartition(".")
+            value = getattr(self.ca if section else self, key.field)
+            if key.kind == "a string":
+                value = str(value)  # the room policy's text
+            elif key.kind == "a list of integers":
+                value = sorted(value)
+            (data.setdefault(section, {}) if section else data)[name] = value
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Build a config from a plain dict (the config-file format).
         Unknown keys are rejected so typos fail loudly."""
         data = dict(data)
-        ca_data = data.pop("ca", {})
-        if not isinstance(ca_data, dict):
+        ca = data.pop("ca", {})
+        if not isinstance(ca, dict):
             raise ValueError("'ca' must be an object of automaton settings")
-        known_ca = {"init_glass_probability", "generations", "glass_sums"}
-        bad = set(ca_data) - known_ca
-        if bad:
-            raise ValueError(f"unknown ca keys: {sorted(bad)}")
-        ca_kwargs = dict(ca_data)
-        if "generations" in ca_kwargs:
-            _require("ca.generations", ca_kwargs["generations"])
-        if "init_glass_probability" in ca_kwargs:
-            _require("ca.init_glass_probability",
-                     ca_kwargs["init_glass_probability"], (int, float),
-                     "a number")
-        if "glass_sums" in ca_kwargs:
-            sums = ca_kwargs["glass_sums"]
-            _require("ca.glass_sums", sums, (list,), "a list of integers")
-            for i, v in enumerate(sums):
-                _require(f"ca.glass_sums[{i}]", v)
-            ca_kwargs["glass_sums"] = frozenset(sums)
-        rooms_text = data.pop("rooms", None)
-        kwargs: dict = {}
-        for key in INT_KEYS:
-            if key in data:
-                value = data.pop(key)
+        # The keys of each section left to read, and the fields read.
+        left = {"": data, "ca": dict(ca)}
+        fields: dict = {"": {}, "ca": {}}
+        for key in CONFIG_KEYS:
+            section, _, name = key.path.rpartition(".")
+            if name in left[section]:
+                value = left[section].pop(name)
                 # Only the seed may be null (drawn at random).
-                if key != "seed" or value is not None:
-                    _require(key, value)
-                kwargs[key] = value
-        if "door_walls" in data:
-            kwargs["wall_rule"] = str(data.pop("door_walls"))
-        if "door_mode" in data:
-            kwargs["door_mode"] = str(data.pop("door_mode"))
+                if value is not None or key.path != "seed":
+                    _require(key.path, value, key.kind)
+                if key.field == "room_policy":
+                    value = RoomCountPolicy.parse(value)
+                fields[section][key.field] = value
+        if left["ca"]:
+            raise ValueError(f"unknown ca keys: {sorted(left['ca'])}")
         if data:
             raise ValueError(f"unknown config keys: {sorted(data)}")
-        if "width" not in kwargs or "depth" not in kwargs:
+        if "width" not in fields[""] or "depth" not in fields[""]:
             raise ValueError("config needs both 'width' and 'depth'")
-        if rooms_text is not None:
-            kwargs["room_policy"] = RoomCountPolicy.parse(str(rooms_text))
-        if ca_kwargs:
-            kwargs["ca"] = CaParams(**ca_kwargs)
-        return cls(**kwargs)
+        return cls(**fields[""], ca=CaParams(**fields["ca"]))
 
 
 @dataclass

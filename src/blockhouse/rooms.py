@@ -52,8 +52,10 @@ class RoomCountPolicy:
     def parse(cls, text: str) -> "RoomCountPolicy":
         if text == "formula":
             return cls()
-        if text.startswith("explicit:"):
-            return cls(explicit=int(text.split(":", 1)[1]))
+        prefix, _, count = text.partition(":")
+        # ASCII digits only; int() alone also takes " 3", "+3", "3_0", "٣".
+        if prefix == "explicit" and count.isascii() and count.isdigit():
+            return cls(explicit=int(count))
         raise ValueError(
             f"bad room policy {text!r}; expected 'formula' or 'explicit:<n>'")
 

@@ -1,7 +1,9 @@
 """Command-line behavior: outputs, config handling, and exit codes."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from blockhouse.assembly import parse_ascii
-from blockhouse.cli import main
+from blockhouse.cli import build_parser, main
 from blockhouse.metrics import building_seed
+from blockhouse.pipeline import CONFIG_KEYS, RunConfig
 from blockhouse.rooms import PlacementError
 
 from helpers import fail_one_building
@@ -136,6 +139,13 @@ def test_generate_rejects_bad_rooms_policy(capsys):
     assert rc == 2
     rc, _, err = run(capsys, *GEN77, "--rooms", "cubic")
     assert rc == 2
+    for policy in ("explicit: 3", "explicit:+3", "explicit:\u0663",
+                   "explicit:3_0"):
+        rc, out, err = run(capsys, *GEN77, "--rooms", policy)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [
+            f"invalid configuration: bad room policy {policy!r}; expected "
+            "'formula' or 'explicit:<n>'"]
 
 
 def test_generate_rejects_bad_glass_sums(capsys):
@@ -483,6 +493,18 @@ def test_config_file_rejects_non_integer_fields(capsys, tmp_path):
     assert "'depth' must be an integer" in err
 
 
+@pytest.mark.parametrize("key", ["rooms", "door_walls", "door_mode"])
+def test_config_file_rejects_null_string_fields(capsys, tmp_path, key):
+    # Only the seed may be null; a null here is not the default or 'None'.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"width": 7, "depth": 7, key: None}))
+    rc, out, err = run(capsys, "generate", "--config", str(config))
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [
+        f"invalid configuration: config key '{key}' must be a string, "
+        "not None"]
+
+
 def test_config_file_rejects_non_integer_automaton_fields(capsys, tmp_path):
     config = tmp_path / "config.json"
     for ca, key in (({"generations": 2.5}, "ca.generations"),
@@ -633,3 +655,38 @@ def test_batch_accepts_workers_up_to_the_cpu_count(capsys, monkeypatch,
                      "--seed", "1", "-n", "1", "--workers", "8")
     assert rc == 0
     assert out.splitlines()[0].split() == ["buildings", "1"]
+
+
+def test_readme_flag_table_matches_the_parser_and_defaults():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("Shared configuration flags")[1].split("\n\n")[1]
+    documented, stated = set(), {}
+    for row in table.splitlines()[2:]:
+        flags_cell, meaning = row.strip("|").split("|")
+        flags = re.findall(r"`(--[a-z-]+)", flags_cell)
+        documented.update(flags)
+        # "default 4", "default `2,3`" or "`any` (default)".
+        for match in re.findall(r"default `?([\w.,]+)|`([^`]+)` \(default\)",
+                                meaning):
+            for flag in flags:
+                stated[flag] = "".join(match)
+
+    config_flags = {"--config"} | {key.flag for key in CONFIG_KEYS}
+    assert documented == config_flags
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    for command in ("generate", "batch"):
+        options = {option for action in subcommands[command]._actions
+                   for option in action.option_strings}
+        assert config_flags <= options, command
+
+    # Width and depth have no default, and the seed's is None.
+    defaults = RunConfig(width=None, depth=None).to_dict()
+    defaults.update({f"ca.{name}": value
+                     for name, value in defaults.pop("ca").items()})
+    expected = {key.flag: ",".join(map(str, value))
+                if isinstance(value, list) else str(value)
+                for key in CONFIG_KEYS
+                if (value := defaults[key.path]) is not None}
+    assert stated == expected

@@ -29,13 +29,18 @@ Re-record them only in a change that is meant to alter the generated
 buildings, and say so in it:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Run as a script, the module needs no pytest, so any interpreter can
+compare all three digest sets with the constants; it exits 1 on a
+mismatch:
+
+    PYTHONPATH=src python tests/test_golden.py --check
 """
 
 import functools
 import hashlib
 import json
-
-import pytest
+import sys
 
 from blockhouse.assembly import export_json, render_ascii
 from blockhouse.facade import FACADE_ORDER, CaParams
@@ -181,25 +186,40 @@ def config_digests(name: str) -> tuple[str, str, str]:
     return building.hexdigest(), artifacts.hexdigest(), text.hexdigest()
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
+# Column i of config_digests() against its constants.
+PINNED = {"GOLDEN": GOLDEN, "GOLDEN_ARTIFACTS": GOLDEN_ARTIFACTS,
+          "GOLDEN_TEXT": GOLDEN_TEXT}
+
+
+def pytest_generate_tests(metafunc):
+    # A pytest hook, so the module itself imports no pytest.
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", list(CONFIGS))
+
+
 def test_golden_digest(name):
     assert config_digests(name)[0] == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
 def test_golden_artifact_digest(name):
     assert config_digests(name)[1] == GOLDEN_ARTIFACTS[name]
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
 def test_golden_exported_text_digest(name):
     assert config_digests(name)[2] == GOLDEN_TEXT[name]
 
 
 if __name__ == "__main__":
     digests = {name: config_digests(name) for name in CONFIGS}
-    for column, label in enumerate(("GOLDEN", "GOLDEN_ARTIFACTS",
-                                    "GOLDEN_TEXT")):
+    if sys.argv[1:] == ["--check"]:
+        wrong = [f"{label} {name!r}: {row[column]} != {pinned[name]}"
+                 for column, (label, pinned) in enumerate(PINNED.items())
+                 for name, row in digests.items()
+                 if row[column] != pinned[name]]
+        print("\n".join(wrong)
+              or f"all {len(PINNED) * len(digests)} digests match")
+        sys.exit(1 if wrong else 0)
+    for column, label in enumerate(PINNED):
         print(f"{label} = {{")
         for name, row in digests.items():
             print(f"    {name!r}: {row[column]!r},")

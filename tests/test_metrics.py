@@ -16,7 +16,7 @@ from blockhouse.doors import (
     RepairError,
     connected_components,
 )
-from blockhouse.grid import derive_seed
+from blockhouse.grid import DOOR, derive_seed
 from blockhouse.metrics import (
     BatchError,
     building_seed,
@@ -114,6 +114,18 @@ def test_measured_areas_conserve_interior_tiles():
         assert walls >= 0
         assert interior_tile_conservation(result.plan)
         assert len(m.room_areas) == 3
+
+
+def test_room_areas_match_per_room_counts_on_a_dense_plan():
+    config = RunConfig(width=64, depth=64, room_policy=RoomCountPolicy(150),
+                       door_mode="saturate")
+    result = generate_building(config, 3)
+    plan = result.plan
+    m = measure_building(plan, result.report, result.elapsed,
+                         result.requested_rooms)
+    assert m.room_areas == tuple(plan.cells.count(rid) for rid in range(150))
+    assert m.room_count == len(plan.room_ids()) > 100
+    assert m.interior_door_count == plan.count(DOOR)
 
 
 def test_building_seed_derivation():

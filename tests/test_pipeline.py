@@ -94,6 +94,11 @@ def test_from_dict_rejects_bad_input():
             RunConfig.from_dict({"width": 7, "depth": 7, key: None})
     assert RunConfig.from_dict({"width": 7, "depth": 7,
                                 "seed": None}).seed is None
+    for key in ("rooms", "door_walls", "door_mode"):
+        for value in (None, 3, True, ["sweep"], {"explicit": 3}):
+            with pytest.raises(ValueError,
+                               match=f"config key '{key}' must be a string"):
+                RunConfig.from_dict({"width": 7, "depth": 7, key: value})
     for ca, key in (({"generations": 2.5}, "ca.generations"),
                     ({"generations": True}, "ca.generations"),
                     ({"generations": "3"}, "ca.generations"),
