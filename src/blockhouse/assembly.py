@@ -25,7 +25,6 @@ from .grid import (
     Coord,
     DimensionError,
     FloorGrid,
-    is_room,
 )
 
 AIR = 0
@@ -77,20 +76,6 @@ class BuildingModel:
         return self.plan.depth
 
 
-def _facade_tiles(side: str, width: int, depth: int) -> range:
-    # Plan indices of a side's border tiles in facade column order, so
-    # column 0 sits at the minimum coordinate end.
-    if side == "north":
-        return range(0, width * depth, depth)
-    if side == "south":
-        return range(depth - 1, width * depth, depth)
-    if side == "east":
-        return range((width - 1) * depth, width * depth)
-    if side == "west":
-        return range(depth)
-    raise ValueError(f"unknown side {side!r}")
-
-
 # Facade cell characters '0' and '1' to the blocks they paint.
 _FACADE_BLOCKS = bytes.maketrans(b"01", bytes([SOLID_WALL, GLASS_BLOCK]))
 
@@ -105,76 +90,60 @@ def assemble(plan: FloorGrid, facades: dict[str, WallMatrix],
     if height < MIN_HEIGHT:
         raise DimensionError(
             f"height {height} is too small (minimum {MIN_HEIGHT})")
-    w, d = plan.width, plan.depth
-    for side in FACADE_ORDER:
-        if side not in facades:
-            raise DimensionError(f"facade '{side}' is missing")
-        m = facades[side]
-        need = w if side in ("north", "south") else d
-        if m.height != height or m.length != need:
-            raise DimensionError(
-                f"facade '{side}' is {m.height}x{m.length}, "
-                f"expected {height}x{need}")
-
     levels = height + 2
     walls = [SOLID_WALL] * height
     air_column = bytes([FLOOR_SLAB, *[AIR] * height, ROOF_SLAB])
     wall_column = bytes([FLOOR_SLAB, *walls, ROOF_SLAB])
     door_column = bytes([FLOOR_SLAB, DOOR_OPENING, DOOR_OPENING,
                          *walls[2:], ROOF_SLAB])
-    columns = {t: air_column if is_room(t) or t == EMPTY
+    columns = {t: air_column if t >= 0 or t == EMPTY
                else door_column if t == DOOR else wall_column
                for t in set(plan.cells)}
     voxels = bytearray(b"".join(map(columns.__getitem__, plan.cells)))
 
     # Facades repaint the border columns; later sides win the corners.
+    sides = plan.sides()
     for side in FACADE_ORDER:
-        m = facades[side]
+        if side not in facades:
+            raise DimensionError(f"facade '{side}' is missing")
+        m, tiles = facades[side], sides[side][0]
+        if m.height != height or m.length != len(tiles):
+            raise DimensionError(
+                f"facade '{side}' is {m.height}x{m.length}, "
+                f"expected {height}x{len(tiles)}")
         # The wall's bits as text from bit 0 up: cell (r, c) is character
         # r * stride + c, so column c is every stride-th one from c.
         stride = m.length + 1
         cells = format(m.bits, f"0{height * stride}b")[::-1].encode()
         cells = cells.translate(_FACADE_BLOCKS)
-        for col, i in enumerate(_facade_tiles(side, w, d)):
+        for col, i in enumerate(tiles):
             start = i * levels + 1
             voxels[start:start + height] = cells[col::stride]
 
     entrance = plan.entrance()
     if entrance is not None:
-        ex, ez = entrance
-        start = (ex * d + ez) * levels + 1
+        start = (entrance[0] * plan.depth + entrance[1]) * levels + 1
         voxels[start:start + 2] = bytes([DOOR_OPENING, DOOR_OPENING])
 
     return BuildingModel(plan, height, dict(facades), voxels, entrance)
 
 
-_TILE_CHARS = {
-    EXTERIOR_WALL: "#",
-    INTERIOR_WALL: "*",
-    DOOR: "D",
-    EXTERIOR_DOOR: "E",
-    EMPTY: ".",
-}
+# Every tile's one character: the named states, then room ids 0-35.
+_TILE_CHARS = {EXTERIOR_WALL: "#", INTERIOR_WALL: "*", DOOR: "D",
+               EXTERIOR_DOOR: "E", EMPTY: ".", **dict(enumerate(ROOM_SYMBOLS))}
 _CHAR_TILES = {ch: t for t, ch in _TILE_CHARS.items()}
-
-
-def tile_char(tile: int) -> str:
-    """The one-character form of a tile ('#', '*', 'D', 'E', '.', or a
-    room symbol)."""
-    if is_room(tile):
-        if tile >= len(ROOM_SYMBOLS):
-            raise LayoutError(
-                f"room id {tile} has no symbol (ids above "
-                f"{len(ROOM_SYMBOLS) - 1} cannot be rendered)")
-        return ROOM_SYMBOLS[tile]
-    return _TILE_CHARS[tile]
 
 
 def render_ascii(plan: FloorGrid) -> str:
     """One text line per depth row; x increases left to right."""
     cells, d = plan.cells, plan.depth
-    return "\n".join("".join(tile_char(t) for t in cells[z::d])
-                     for z in range(d))
+    try:
+        return "\n".join("".join(map(_TILE_CHARS.__getitem__, cells[z::d]))
+                         for z in range(d))
+    except KeyError as exc:
+        raise LayoutError(
+            f"room id {exc.args[0]} has no symbol (ids above "
+            f"{len(ROOM_SYMBOLS) - 1} cannot be rendered)") from None
 
 
 def parse_ascii(text: str) -> FloorGrid:
@@ -193,13 +162,10 @@ def parse_ascii(text: str) -> FloorGrid:
     cells = grid.cells
     for z, line in enumerate(lines):
         for x, ch in enumerate(line):
-            if ch in _CHAR_TILES:
-                cells[x * depth + z] = _CHAR_TILES[ch]
-            elif ch in ROOM_SYMBOLS:
-                cells[x * depth + z] = ROOM_SYMBOLS.index(ch)
-            else:
+            if ch not in _CHAR_TILES:
                 raise LayoutError(
                     f"unknown character {ch!r} at row {z}, column {x}")
+            cells[x * depth + z] = _CHAR_TILES[ch]
     return grid
 
 

@@ -22,7 +22,6 @@ from .grid import (
     INTERIOR_WALL,
     Coord,
     FloorGrid,
-    is_room,
 )
 
 # Which neighbors satisfy the door rule "adjacent to at least one other
@@ -189,23 +188,18 @@ def place_doors(grid: FloorGrid, rng: random.Random,
 def place_exterior_door(grid: FloorGrid, rng: random.Random) -> Coord:
     """Carve one entrance through the border into a random room.
 
-    Candidates are non-corner border tiles whose single interior neighbor
-    is a room tile; corners have no interior neighbor and never qualify.
+    Candidates are border tiles whose tile behind is a room tile, drawn
+    in (x, z) order; a corner's inward step lands on the border, so a
+    corner never qualifies.
     """
-    cells, d = grid.cells, grid.depth
-    last = len(cells) - d
-    # (border tile, the interior tile behind it), in (x, z) order.
-    behind = [(j, j + d) for j in range(1, d - 1)]
-    for j in range(d, last, d):
-        behind += ((j, j + 1), (j + d - 1, j + d - 2))
-    behind += [(j, j - d) for j in range(last + 1, last + d - 1)]
-    candidates = [divmod(j, d) for j, inner in behind
-                  if is_room(cells[inner])]
+    cells = grid.cells
+    candidates = sorted(j for tiles, inward in grid.sides().values()
+                        for j in tiles if cells[j + inward] >= 0)
     if not candidates:
         raise EntranceError("no exterior wall tile has a room behind it")
-    x, z = rng.choice(candidates)
-    grid.put(x, z, EXTERIOR_DOOR)
-    return (x, z)
+    j = rng.choice(candidates)
+    cells[j] = EXTERIOR_DOOR
+    return divmod(j, grid.depth)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ the sentinel: every interior tile's neighbours lie inside the grid, so
 the plan stages read them without bounds checks. That arithmetic wraps
 between columns on the ring itself, so loops that may meet a border
 tile (flood fill, anything over a parsed or hand-built grid) keep to
-interior indices or bound by coordinates. `tiles` is a read-only
-`tiles[x][z]` snapshot for readers outside the package; writes to it do
-not reach the grid.
+interior indices or bound by coordinates. `sides()` alone defines the
+ring: each side's border indices, ascending as its facade's columns,
+and the step inward, which from a corner lands on the ring. `tiles` is
+a read-only `tiles[x][z]` snapshot for readers outside the package.
 """
 
 from __future__ import annotations
@@ -34,13 +35,6 @@ EXTERIOR_DOOR = -5
 
 # Border walls plus room for one 2x2 seed with clearance on every side.
 MIN_DIMENSION = 5
-
-_NAMED_TILES = (EMPTY, EXTERIOR_WALL, INTERIOR_WALL, DOOR, EXTERIOR_DOOR)
-
-
-def is_room(tile: int) -> bool:
-    return tile >= 0
-
 
 class DimensionError(ValueError):
     """A requested dimension is outside the supported range."""
@@ -63,12 +57,17 @@ class FloorGrid:
                 f"depth {depth} is too small (minimum {MIN_DIMENSION})")
         self.width = width
         self.depth = depth
-        cells = [EMPTY] * (width * depth)
-        cells[:depth] = [EXTERIOR_WALL] * depth
-        cells[-depth:] = [EXTERIOR_WALL] * depth
-        cells[::depth] = [EXTERIOR_WALL] * width
-        cells[depth - 1::depth] = [EXTERIOR_WALL] * width
-        self.cells = cells
+        self.cells = cells = [EMPTY] * (width * depth)
+        for r, _ in self.sides().values():
+            cells[r.start:r.stop:r.step] = [EXTERIOR_WALL] * len(r)
+
+    def sides(self) -> dict[str, tuple[range, int]]:
+        """{side: (tiles, inward)} in facade order (north, east, south,
+        west): the side's border indices ascending, which is also its
+        facade's column order, and the index step to the tile behind."""
+        d, n = self.depth, len(self.cells)
+        return {"north": (range(0, n, d), 1), "east": (range(n - d, n), -d),
+                "south": (range(d - 1, n, d), -1), "west": (range(d), d)}
 
     @property
     def tiles(self) -> list[list[int]]:
@@ -119,11 +118,9 @@ class FloorGrid:
     def validate(self) -> None:
         """Check the border/interior state partition, raising ValueError on
         the first violation. Cheap enough to run after every stage."""
-        cells, d, n = self.cells, self.depth, len(self.cells)
-        # The ring as __init__ slices it, sorted into (x, z) order.
+        cells, d = self.cells, self.depth
         entrances = 0
-        for i in sorted({*range(d), *range(n - d, n), *range(0, n, d),
-                         *range(d - 1, n, d)}):
+        for i in sorted({j for r, _ in self.sides().values() for j in r}):
             t = cells[i]
             if t == EXTERIOR_DOOR:
                 entrances += 1

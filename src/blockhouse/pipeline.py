@@ -127,6 +127,12 @@ class RunConfig:
             if high is not None and value > high:
                 raise DimensionError(
                     f"{key.path} {value} is too large (maximum {high})")
+        # Unplaced rooms are still counted, so cap requests at the interior.
+        rooms = self.room_policy.count_for(self.width, self.depth)
+        tiles = (self.width - 2) * (self.depth - 2)
+        if rooms > tiles:
+            raise ValueError(f"rooms {rooms} is more than the {tiles} interior"
+                             f" tiles of a {self.width}x{self.depth} floor")
         return self
 
     def with_seed(self, seed: int) -> "RunConfig":

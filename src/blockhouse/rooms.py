@@ -53,8 +53,10 @@ class RoomCountPolicy:
         if text == "formula":
             return cls()
         prefix, _, count = text.partition(":")
-        # ASCII digits only; int() alone also takes " 3", "+3", "3_0", "٣".
-        if prefix == "explicit" and count.isascii() and count.isdigit():
+        # ASCII digits written as str() writes them; int() alone also
+        # takes " 3", "+3", "3_0", "٣" and "007".
+        if (prefix == "explicit" and count.isascii() and count.isdigit()
+                and str(int(count)) == count):
             return cls(explicit=int(count))
         raise ValueError(
             f"bad room policy {text!r}; expected 'formula' or 'explicit:<n>'")

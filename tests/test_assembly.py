@@ -1,10 +1,13 @@
 """Voxel assembly and the ASCII/JSON serial forms."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from blockhouse.assembly import (
+    _TILE_CHARS,
     AIR,
     BLOCK_NAMES,
     DOOR_OPENING,
@@ -19,10 +22,17 @@ from blockhouse.assembly import (
     import_json,
     parse_ascii,
     render_ascii,
-    tile_char,
 )
-from blockhouse.facade import CaParams, generate_facades
-from blockhouse.grid import DimensionError, FloorGrid
+from blockhouse.facade import FACADE_ORDER, CaParams, generate_facades
+from blockhouse.grid import (
+    DOOR,
+    EMPTY,
+    EXTERIOR_DOOR,
+    EXTERIOR_WALL,
+    INTERIOR_WALL,
+    DimensionError,
+    FloorGrid,
+)
 from blockhouse.pipeline import RunConfig, generate_building
 
 from helpers import (
@@ -153,11 +163,31 @@ def test_generated_models_are_walkable():
 
 
 def test_tile_symbols():
-    assert tile_char(0) == "0"
-    assert tile_char(10) == "a"
-    assert tile_char(35) == "z"
+    grid = FloorGrid(5, 5)
+    for tile, symbol in ((0, "0"), (10, "a"), (35, "z")):
+        grid.put(1, 1, tile)
+        assert render_ascii(grid).splitlines()[1][1] == symbol
+    grid.put(1, 1, 36)
     with pytest.raises(LayoutError):
-        tile_char(36)
+        render_ascii(grid)
+
+
+def test_every_tile_renders_and_parses_back():
+    named = {EXTERIOR_WALL: "#", INTERIOR_WALL: "*", DOOR: "D",
+             EXTERIOR_DOOR: "E", EMPTY: "."}
+    symbols = {**named, **dict(zip(range(36), "0123456789"
+                                   "abcdefghijklmnopqrstuvwxyz"))}
+    assert len(symbols) == 41
+    # A 9x9 floor's 49 interior tiles hold every value at least once.
+    grid = FloorGrid(9, 9)
+    interior_tiles = grid.interior_indices()
+    for i, tile in zip(interior_tiles, list(symbols) * 2):
+        grid.cells[i] = tile
+    text = render_ascii(grid)
+    for i in interior_tiles:
+        x, z = divmod(i, 9)
+        assert text.splitlines()[z][x] == symbols[grid.cells[i]]
+    assert parse_ascii(text) == grid
 
 
 def test_render_ascii_example():
@@ -373,3 +403,51 @@ def test_import_rejects_a_voxel_size_that_disagrees_with_the_plan():
     doc["voxels"]["blocks"] += doc["voxels"]["blocks"][:6 * 9]
     with pytest.raises(LayoutError, match="contradict"):
         import_json(doc)
+
+
+def _formats_table(header: str) -> list:
+    """The cells of each body row of the FORMATS.md table under `header`."""
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(
+        encoding="utf-8")
+    table = text.split(header + "\n")[1].split("\n\n")[0]
+    return [[cell.strip() for cell in row.strip("|").split("|")]
+            for row in table.splitlines()[1:]]
+
+
+def test_formats_alphabet_matches_the_tile_table():
+    names = {"exterior wall": EXTERIOR_WALL, "interior wall": INTERIOR_WALL,
+             "interior door": DOOR, "entrance": EXTERIOR_DOOR,
+             "unassigned tile": EMPTY}
+    documented = {}
+    for characters, meaning in _formats_table("| character | tile |"):
+        ranges = re.findall(r"`(.)`-`(.)`", characters)
+        if not ranges:
+            tile = next(t for name, t in names.items()
+                        if meaning.startswith(name))
+            documented[tile] = characters.strip("`")
+            continue
+        low, high = map(int, re.search(r"ids (\d+)-(\d+)", meaning).groups())
+        symbols = "".join(chr(c) for first, last in ranges
+                          for c in range(ord(first), ord(last) + 1))
+        assert len(symbols) == high - low + 1
+        documented.update(zip(range(low, high + 1), symbols))
+    assert documented == _TILE_CHARS
+
+
+@pytest.mark.parametrize("width,depth", [(7, 11), (12, 5)])
+def test_formats_facade_orientation_matches_the_sides(width, depth):
+    rows = _formats_table("| side | runs along | length | column 0 sits at |")
+    sides = FloorGrid(width, depth).sides()
+    assert sorted(row[0].strip("`") for row in rows) == sorted(FACADE_ORDER)
+
+    def value(expression):
+        return eval(expression.strip("`"), {"__builtins__": {}},
+                    {"width": width, "depth": depth})
+
+    for side, edge, length, column_0 in rows:
+        tiles, _ = sides[side.strip("`")]
+        axis, at = re.fullmatch(r"`([xz]) = (.+)` edge", edge).groups()
+        on_edge = {divmod(j, depth)["xz".index(axis)] for j in tiles}
+        assert on_edge == {value(at)}
+        assert len(tiles) == value(length)
+        assert divmod(tiles[0], depth) == value(column_0)

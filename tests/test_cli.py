@@ -140,12 +140,25 @@ def test_generate_rejects_bad_rooms_policy(capsys):
     rc, _, err = run(capsys, *GEN77, "--rooms", "cubic")
     assert rc == 2
     for policy in ("explicit: 3", "explicit:+3", "explicit:\u0663",
-                   "explicit:3_0"):
+                   "explicit:3_0", "explicit:007"):
         rc, out, err = run(capsys, *GEN77, "--rooms", policy)
         assert (rc, out) == (2, "")
         assert err.splitlines() == [
             f"invalid configuration: bad room policy {policy!r}; expected "
             "'formula' or 'explicit:<n>'"]
+
+
+def test_batch_rejects_more_rooms_than_interior_tiles(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran a batch it should have refused")
+
+    monkeypatch.setattr("blockhouse.cli.run_batch", never)
+    rc, out, err = run(capsys, "batch", "--width", "7", "--depth", "7",
+                       "--rooms", "explicit:10000", "-n", "1", "--seed", "1")
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [
+        "invalid configuration: rooms 10000 is more than the 25 interior "
+        "tiles of a 7x7 floor"]
 
 
 def test_generate_rejects_bad_glass_sums(capsys):

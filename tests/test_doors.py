@@ -320,6 +320,43 @@ def test_entrance_properties():
         assert grid.entrance() == pos
 
 
+def entrance_oracle(grid, rng):
+    """The entrance as a draw over the (x, z)-sorted non-corner border
+    tiles that have a room tile behind them, or None if there are none."""
+    inside = set(interior(grid))
+    candidates = []
+    for x, z in border(grid):
+        inner = [n for n in neighbors(grid, x, z) if n in inside]
+        if len(neighbors(grid, x, z)) == 3 and grid.get(*inner[0]) >= 0:
+            candidates.append((x, z))
+    return rng.choice(candidates) if candidates else None
+
+
+def test_entrance_matches_the_oracle():
+    pick = random.Random(5)
+    for seed in range(300):
+        width, depth = pick.randint(5, 30), pick.randint(5, 30)
+        if seed % 2:
+            grid, _ = _grown(seed, width, depth, pick.randint(1, 12))
+        else:  # arbitrary interiors, rooms anywhere or nowhere
+            grid = FloorGrid(width, depth)
+            palette = pick.choice([[INTERIOR_WALL, DOOR, 0, 1, 2],
+                                   [INTERIOR_WALL] * 30 + [DOOR, 3],
+                                   [INTERIOR_WALL, DOOR]])
+            for x, z in interior(grid):
+                grid.put(x, z, pick.choice(palette))
+        expected = entrance_oracle(grid, derive_rng(seed, "entrance"))
+        carved = grid.copy()
+        if expected is None:
+            with pytest.raises(EntranceError):
+                place_exterior_door(carved, derive_rng(seed, "entrance"))
+            continue
+        assert place_exterior_door(
+            carved, derive_rng(seed, "entrance")) == expected
+        grid.put(*expected, EXTERIOR_DOOR)
+        assert carved == grid
+
+
 def test_entrance_fails_when_no_room_touches_border():
     grid = parse_ascii("""\
 #####

@@ -3,6 +3,7 @@
 import pytest
 
 from blockhouse.assembly import parse_ascii
+from blockhouse.facade import FACADE_ORDER
 from blockhouse.grid import (
     DOOR,
     EMPTY,
@@ -13,10 +14,9 @@ from blockhouse.grid import (
     FloorGrid,
     derive_rng,
     derive_seed,
-    is_room,
 )
 
-from helpers import border, interior
+from helpers import border, border_owner, facade_column, interior, neighbors
 
 
 def test_minimum_dimensions_enforced():
@@ -48,9 +48,27 @@ def test_get_put_bounds_checking():
         grid.put(0, -1, EMPTY)
 
 
-def test_tile_predicates():
-    assert is_room(0) and is_room(35)
-    assert not is_room(EMPTY)
+@pytest.mark.parametrize("width,depth", [(5, 5), (5, 12), (12, 5), (31, 17)])
+def test_sides_match_the_border_oracles(width, depth):
+    grid = FloorGrid(width, depth)
+    sides = grid.sides()
+    assert list(sides) == list(FACADE_ORDER)
+    inside = set(interior(grid))
+    painted = {}  # border tile -> the last side listing it
+    for side, (tiles, inward) in sides.items():
+        assert list(tiles) == sorted(tiles)
+        for column, j in enumerate(tiles):
+            x, z = divmod(j, depth)
+            painted[x, z] = side
+            assert facade_column(side, x, z, width, depth) == column
+            behind = divmod(j + inward, depth)
+            assert behind in neighbors(grid, x, z)
+            # Only a corner's inward step stays on the ring.
+            corner = len(neighbors(grid, x, z)) == 2
+            assert (behind in inside) != corner
+    assert sorted(painted) == border(grid)
+    for (x, z), side in painted.items():
+        assert border_owner(x, z, width, depth) == side
 
 
 def test_find_count_room_ids_entrance():

@@ -16,7 +16,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from blockhouse.doors import (
@@ -44,6 +44,9 @@ from helpers import (
     touch_oracle,
 )
 
+# Each @given test also pins its examples with a fixed @seed, which
+# overrides derandomize: derandomize alone derives them from the test's
+# source, so any edit to a test body would swap what it covers.
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
 
@@ -103,6 +106,7 @@ def tiles_of(rooms):
 
 
 @SETTINGS
+@seed(1)
 @given(sizes, sizes, room_counts, seeds, obstacle_shares)
 def test_grow_rooms_matches_rescanning_growth(width, depth, count, seed,
                                               obstacles):
@@ -129,6 +133,7 @@ def frontiers_of(touch, ids):
 
 
 @SETTINGS
+@seed(2)
 @given(sizes, sizes, room_counts, seeds, obstacle_shares)
 def test_frontiers_equal_growth_candidates_after_every_pass(
         width, depth, count, seed, obstacles):
@@ -179,6 +184,7 @@ def test_touch_map_matches_rescan_after_every_pass_on_large_floors(
 
 
 @SETTINGS
+@seed(3)
 @given(sizes, sizes, seeds, obstacle_shares)
 def test_growth_candidates_match_oracle_on_arbitrary_tile_fields(
         width, depth, seed, obstacles):
@@ -201,6 +207,7 @@ def test_growth_candidates_match_oracle_on_arbitrary_tile_fields(
 
 
 @SETTINGS
+@seed(4)
 @given(sizes, sizes, room_counts, seeds, obstacle_shares, wall_rules)
 def test_saturate_matches_rescanning_placement(width, depth, count, seed,
                                                obstacles, wall_rule):
@@ -221,6 +228,7 @@ def test_saturate_matches_rescanning_placement(width, depth, count, seed,
 
 
 @SETTINGS
+@seed(5)
 @given(sizes, sizes, seeds, wall_rules)
 def test_saturate_matches_rescanning_on_arbitrary_tile_fields(
         width, depth, seed, wall_rule):

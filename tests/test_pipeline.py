@@ -43,6 +43,16 @@ def test_validate_rejects_bad_fields():
         RunConfig(width=7, depth=7, door_mode="greedy").validate()
 
 
+def test_validate_caps_explicit_rooms_at_the_interior_tiles():
+    # 5x5 has 9 interior tiles; 3 rooms do not all fit but may be asked.
+    for rooms in (3, 9):
+        RunConfig(width=5, depth=5,
+                  room_policy=RoomCountPolicy(explicit=rooms)).validate()
+    with pytest.raises(ValueError, match="rooms 10 is more than the 9 "):
+        RunConfig(width=5, depth=5,
+                  room_policy=RoomCountPolicy(explicit=10)).validate()
+
+
 def test_validate_accepts_the_largest_dimensions():
     # height + 2 levels fill Minecraft's 256-block build height.
     RunConfig(width=256, depth=256, height=254).validate()

@@ -50,7 +50,8 @@ def test_room_count_policy_modes():
         RoomCountPolicy.parse("explicit:x")
     # Only ASCII digits, so that str() gives back the text parsed.
     for text in ("explicit: 3", "explicit:+3", "explicit:\u0663",
-                 "explicit:3_0", "explicit:3 ", "explicit:", "explicit"):
+                 "explicit:3_0", "explicit:3 ", "explicit:", "explicit",
+                 "explicit:007", "explicit:00"):
         with pytest.raises(ValueError, match="bad room policy"):
             RoomCountPolicy.parse(text)
     with pytest.raises(ValueError):

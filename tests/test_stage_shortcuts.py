@@ -11,7 +11,7 @@ decided by its kind. The library must produce exactly what they do.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from blockhouse.assembly import (
@@ -46,6 +46,9 @@ from helpers import (
     wall_of,
 )
 
+# Each @given test also pins its examples with a fixed @seed, which
+# overrides derandomize: derandomize alone derives them from the test's
+# source, so any edit to a test body would swap what it covers.
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
                     database=None)
 
@@ -92,6 +95,7 @@ def placed_or_none(grid, count, rng, max_attempts, place):
 
 
 @SETTINGS
+@seed(6)
 @given(sizes, sizes, room_counts, attempts, seeds, obstacle_shares)
 def test_place_rooms_matches_drawing_every_attempt(width, depth, count,
                                                    max_attempts, seed,
@@ -212,6 +216,7 @@ def tile_column(tile, height):
 
 
 @SETTINGS
+@seed(7)
 @given(sizes, sizes, seeds, st.integers(min_value=3, max_value=9))
 def test_assembled_columns_follow_their_tiles(width, depth, seed, height):
     grid = FloorGrid(width, depth)
