@@ -141,9 +141,10 @@ def render_ascii(plan: FloorGrid) -> str:
         return "\n".join("".join(map(_TILE_CHARS.__getitem__, cells[z::d]))
                          for z in range(d))
     except KeyError as exc:
-        raise LayoutError(
-            f"room id {exc.args[0]} has no symbol (ids above "
-            f"{len(ROOM_SYMBOLS) - 1} cannot be rendered)") from None
+        t = exc.args[0]
+        raise LayoutError(f"tile state {t} has no symbol" if t < 0 else (
+            f"room id {t} has no symbol (ids above "
+            f"{len(ROOM_SYMBOLS) - 1} cannot be rendered)")) from None
 
 
 def parse_ascii(text: str) -> FloorGrid:

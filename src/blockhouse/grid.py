@@ -41,7 +41,8 @@ class DimensionError(ValueError):
 
 
 class FloorGrid:
-    """Rectangular tile field for a single story.
+    """Rectangular tile field for a single story, read and written
+    through `cells`, the flat list the module docstring describes.
 
     The border ring is exterior wall from construction onward; stages only
     ever rewrite interior tiles, except for the one entrance carved into
@@ -75,45 +76,16 @@ class FloorGrid:
         d = self.depth
         return [self.cells[i:i + d] for i in range(0, len(self.cells), d)]
 
-    def in_bounds(self, x: int, z: int) -> bool:
-        return 0 <= x < self.width and 0 <= z < self.depth
-
-    def get(self, x: int, z: int) -> int:
-        if not self.in_bounds(x, z):
-            raise IndexError(f"position ({x}, {z}) is outside the grid")
-        return self.cells[x * self.depth + z]
-
-    def put(self, x: int, z: int, tile: int) -> None:
-        if not self.in_bounds(x, z):
-            raise IndexError(f"position ({x}, {z}) is outside the grid")
-        self.cells[x * self.depth + z] = tile
-
     def interior_indices(self) -> list[int]:
         """Flat indices of the interior tiles, ascending (x-major)."""
         d = self.depth
         return [i for column in range(d, len(self.cells) - d, d)
                 for i in range(column + 1, column + d - 1)]
 
-    def count(self, tile: int) -> int:
-        return self.cells.count(tile)
-
-    def find(self, tile: int) -> list[Coord]:
-        d = self.depth
-        return [divmod(i, d) for i, t in enumerate(self.cells) if t == tile]
-
-    def room_ids(self) -> list[int]:
-        """Sorted ids of the rooms that still occupy at least one tile."""
-        return sorted({t for t in self.cells if t >= 0})
-
     def entrance(self) -> Coord | None:
         if EXTERIOR_DOOR in self.cells:  # the first in `cells` order
             return divmod(self.cells.index(EXTERIOR_DOOR), self.depth)
         return None
-
-    def copy(self) -> "FloorGrid":
-        dup = FloorGrid(self.width, self.depth)
-        dup.cells = self.cells[:]
-        return dup
 
     def validate(self) -> None:
         """Check the border/interior state partition, raising ValueError on

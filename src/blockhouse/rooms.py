@@ -27,7 +27,8 @@ class Room:
     @property
     def tiles(self) -> set[Coord]:
         """The tiles the room occupies in its plan right now."""
-        return set(self.plan.find(self.id))
+        cells, d = self.plan.cells, self.plan.depth
+        return {divmod(i, d) for i, t in enumerate(cells) if t == self.id}
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,7 @@ from blockhouse.assembly import (
     parse_ascii,
     render_ascii,
 )
-from blockhouse.doors import (
-    legal_door_sites,
-    place_doors,
-    wallify_leftovers,
-)
+from blockhouse.doors import place_doors, wallify_leftovers
 from blockhouse.facade import CaParams
 from blockhouse.grid import DimensionError, FloorGrid, derive_rng
 from blockhouse.metrics import building_seed, run_batch
@@ -37,16 +33,13 @@ from blockhouse.rooms import (
 )
 
 from helpers import (
-    apply_door,
-    ca_oracle_step,
     ca_step,
-    cells_of,
     interior_tile_conservation,
-    passable_components,
     rooms_are_separated,
     voxel_walkable,
     wall_of,
 )
+from reference import components, copy_plan, cut, door_sites, room_ids, step
 
 MASTER_SEED = 20260816
 N = 1000
@@ -114,7 +107,7 @@ def test_criterion_4_connectivity(exp1, exp2, exp3):
             for i in range(N):
                 result = generate_building(config,
                                            building_seed(MASTER_SEED, i))
-                comps = passable_components(result.plan)
+                comps = components(result.plan)
                 assert len(comps) == 1, (
                     f"{name} building {i}: {len(comps)} components "
                     "after the pipeline")
@@ -157,8 +150,8 @@ def test_criterion_6_automaton_oracle():
                     cells = [list(bits[r * length:(r + 1) * length])
                              for r in range(h)]
                     wall = wall_of(cells)
-                    got = cells_of(ca_step(wall, params))
-                    want = ca_oracle_step(wall, params.glass_sums)
+                    got = ca_step(wall, params).rows()
+                    want = step(wall.rows(), params.glass_sums)
                     assert got == want, (
                         f"mismatch on {h}x{length} state {bits}")
                     checked += 1
@@ -166,8 +159,8 @@ def test_criterion_6_automaton_oracle():
         for _ in range(1000):
             cells = [[rng.randint(0, 1) for _ in range(8)] for _ in range(8)]
             wall = wall_of(cells)
-            assert cells_of(ca_step(wall, params)) == ca_oracle_step(
-                wall, params.glass_sums)
+            assert ca_step(wall, params).rows() == step(wall.rows(),
+                                                        params.glass_sums)
         return (f"{checked} exhaustive matrices (all shapes with <= 9 "
                 "cells) plus 1000 random 8x8, zero mismatches")
 
@@ -215,11 +208,12 @@ def test_criterion_8_property_suite():
             rooms = place_rooms(grid, 4, derive_rng(seed, "rooms"))
             grow_rooms(grid, rooms, derive_rng(seed, "growth"))
             wallify_leftovers(grid)
-            replay = grid.copy()
+            replay = copy_plan(grid)
             for site in place_doors(grid, derive_rng(seed, "doors"), rooms):
-                assert site in legal_door_sites(replay), (
+                (x, z), axis = site.position, site.axis
+                assert (x, z, axis) in door_sites(replay, "any"), (
                     f"door {site} was not legal when placed (seed {seed})")
-                apply_door(replay, site)
+                cut(replay, x, z, axis)
             assert replay == grid, "replaying the doors diverged"
 
         # Tile conservation and lossless round trips on full pipelines.
@@ -256,14 +250,14 @@ def test_criterion_9_degenerate_inputs():
         for seed in range(5):
             result = generate_building(tiny, seed)
             result.plan.validate()
-            assert len(passable_components(result.plan)) == 1
+            assert len(components(result.plan)) == 1
             assert voxel_walkable(result.model)
 
         # Requesting more rooms than fit drops the extras silently.
         crowded = RunConfig(width=5, depth=5, room_policy=RoomCountPolicy(3))
         for seed in range(5):
             result = generate_building(crowded, seed)
-            assert len(result.plan.room_ids()) == 1, (
+            assert len(room_ids(result.plan)) == 1, (
                 "a 5x5 interior fits exactly one seed")
             assert result.requested_rooms == 3
 

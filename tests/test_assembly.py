@@ -23,7 +23,12 @@ from blockhouse.assembly import (
     parse_ascii,
     render_ascii,
 )
-from blockhouse.facade import FACADE_ORDER, CaParams, generate_facades
+from blockhouse.facade import (
+    FACADE_ORDER,
+    CaParams,
+    WallMatrix,
+    generate_facades,
+)
 from blockhouse.grid import (
     DOOR,
     EMPTY,
@@ -35,16 +40,9 @@ from blockhouse.grid import (
 )
 from blockhouse.pipeline import RunConfig, generate_building
 
-from helpers import (
-    GLASS,
-    block_at,
-    border,
-    border_owner,
-    expected_glass_count,
-    facade_column,
-    voxel_walkable,
-    wall_cell,
-)
+import reference
+from helpers import GLASS, block_at, voxel_walkable, wall_cell
+from reference import set_tile
 
 PLAN_SMALL = """\
 #####
@@ -106,29 +104,34 @@ def test_entrance_carved_through_facade():
     assert block_at(model, 0, 3, 2) == expected
 
 
+def reference_voxels(model):
+    """The model's voxels as the reference paints them: the facades over
+    the border in FACADE_ORDER, the entrance carved last."""
+    rows = {side: model.facades[side].rows() for side in FACADE_ORDER}
+    return reference.voxels(model.plan, rows, model.height, model.entrance)
+
+
 def test_border_columns_come_from_owner_facades():
     model = _small_model()
-    for x, z in border(model.plan):
-        side = border_owner(x, z, model.width, model.depth)
-        matrix = model.facades[side]
-        col = facade_column(side, x, z, model.width, model.depth)
-        for y in range(1, model.height + 1):
-            if (x, z) == model.entrance and y <= 2:
-                continue
-            cell = wall_cell(matrix, y - 1, col)
-            want = GLASS_BLOCK if cell == GLASS else SOLID_WALL
-            assert block_at(model, x, y, z) == want
+    assert model.voxels == reference_voxels(model)
 
 
 def test_corner_ownership():
-    assert border_owner(0, 0, 5, 5) == "west"
-    assert border_owner(4, 0, 5, 5) == "east"
-    assert border_owner(4, 4, 5, 5) == "south"
-    assert border_owner(0, 4, 5, 5) == "west"
-    assert border_owner(2, 0, 5, 5) == "north"
-    assert border_owner(2, 4, 5, 5) == "south"
-    assert border_owner(0, 2, 5, 5) == "west"
-    assert border_owner(4, 2, 5, 5) == "east"
+    # North and south all glass, east and west all solid: each corner
+    # shows the last side painted through it, east or west on the north
+    # corners and south or west on the south ones. (0, 2) is the
+    # entrance.
+    plan = parse_ascii(PLAN_SMALL)
+    glass, solid = ["11111"] * 3, ["00000"] * 3
+    facades = {side: WallMatrix.from_rows(glass if side in ("north", "south")
+                                          else solid)
+               for side in FACADE_ORDER}
+    model = assemble(plan, facades, 3)
+    owners = {(0, 0): SOLID_WALL, (4, 0): SOLID_WALL, (4, 4): GLASS_BLOCK,
+              (0, 4): SOLID_WALL, (2, 0): GLASS_BLOCK, (2, 4): GLASS_BLOCK,
+              (4, 2): SOLID_WALL}
+    for (x, z), block in owners.items():
+        assert [block_at(model, x, y, z) for y in (1, 2, 3)] == [block] * 3
 
 
 def test_rejects_height_below_minimum():
@@ -153,7 +156,7 @@ def test_rejects_missing_or_misshapen_facades():
 def test_glass_counts_match_facade_recount():
     for seed in range(8):
         model = _generated(seed)
-        assert model.voxels.count(GLASS_BLOCK) == expected_glass_count(model)
+        assert model.voxels == reference_voxels(model)
 
 
 def test_generated_models_are_walkable():
@@ -165,9 +168,9 @@ def test_generated_models_are_walkable():
 def test_tile_symbols():
     grid = FloorGrid(5, 5)
     for tile, symbol in ((0, "0"), (10, "a"), (35, "z")):
-        grid.put(1, 1, tile)
+        set_tile(grid, 1, 1, tile)
         assert render_ascii(grid).splitlines()[1][1] == symbol
-    grid.put(1, 1, 36)
+    set_tile(grid, 1, 1, 36)
     with pytest.raises(LayoutError):
         render_ascii(grid)
 
@@ -192,16 +195,20 @@ def test_every_tile_renders_and_parses_back():
 
 def test_render_ascii_example():
     grid = FloorGrid(5, 5)
-    grid.put(1, 1, 0)
-    grid.put(2, 1, 0)
-    grid.put(3, 3, 11)
+    set_tile(grid, 1, 1, 0)
+    set_tile(grid, 2, 1, 0)
+    set_tile(grid, 3, 3, 11)
     assert render_ascii(grid) == "#####\n#00.#\n#...#\n#..b#\n#####"
 
 
 def test_render_rejects_oversized_room_ids():
     grid = FloorGrid(5, 5)
-    grid.put(1, 1, 36)
-    with pytest.raises(LayoutError):
+    set_tile(grid, 1, 1, 36)
+    with pytest.raises(LayoutError, match=r"^room id 36 has no symbol \(ids "
+                       r"above 35 cannot be rendered\)$"):
+        render_ascii(grid)
+    set_tile(grid, 1, 1, -7)
+    with pytest.raises(LayoutError, match="^tile state -7 has no symbol$"):
         render_ascii(grid)
 
 

@@ -703,3 +703,39 @@ def test_readme_flag_table_matches_the_parser_and_defaults():
                 for key in CONFIG_KEYS
                 if (value := defaults[key.path]) is not None}
     assert stated == expected
+
+
+def readme_section(heading):
+    """The README text from `heading` to the next heading of any level."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return re.split(r"\n#+ ", text.split(f"\n{heading}\n")[1])[0]
+
+
+def test_readme_library_block_runs_as_written(capsys):
+    block = readme_section("## Library use").split("```python\n")[1]
+    exec(block.split("```")[0], {})
+    out = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"\d+ doors, entrance at \(\d+, \d+\)", out[0])
+    assert out[1].split() == ["buildings", "1000"]
+
+
+def test_readme_exit_codes_are_the_ones_the_cli_returns(capsys, tmp_path):
+    rows = readme_section("### Exit codes").strip().splitlines()[2:]
+    documented = [int(row.split("|")[1]) for row in rows]
+    assert documented == [0, 2, 3, 4]
+    # One real run for each code, and the start of the last line it
+    # writes to stderr. The stage failure is a building repair cannot
+    # connect.
+    runs = {0: (GEN77, "seed: 5"),
+            2: (("generate", "--width", "4", "--depth", "7"),
+                "invalid configuration: width 4 is too small"),
+            3: (("generate", "--width", "20", "--depth", "20", "--rooms",
+                 "explicit:20", "--door-mode", "saturate", "--seed",
+                 "14297754712089186383"),
+                "generation failed at connectivity repair"),
+            4: (("render", str(tmp_path / "missing.json")), "i/o error: ")}
+    for code, (argv, message) in runs.items():
+        rc, _, err = run(capsys, *argv)
+        assert rc == code, argv
+        assert err.splitlines()[-1].startswith(message), err

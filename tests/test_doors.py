@@ -26,15 +26,22 @@ from blockhouse.grid import (
 )
 from blockhouse.rooms import Room, grow_rooms, place_rooms
 
-from helpers import (
-    apply_door,
+import reference
+from reference import (
     border,
+    bridges,
+    components,
+    copy_plan,
+    count,
+    cut,
+    door_sites,
+    find,
+    flanks,
     interior,
     neighbors,
-    passable_components,
-    site_flanks,
-    site_is_legal,
-    site_through,
+    set_tile,
+    through,
+    tile,
 )
 
 # Exactly one wall tile joins the two rooms: (3, 2) along the x axis.
@@ -66,38 +73,31 @@ def _grown(seed, width=9, depth=9, count=4):
 
 
 def test_door_site_through_and_flanks():
-    site = DoorSite((4, 2), "x", (0, 1))
-    assert site_through(site) == ((3, 2), (5, 2))
-    assert site_flanks(site) == ((4, 1), (4, 3))
-    site = DoorSite((4, 2), "z", (1, 0))
-    assert site_through(site) == ((4, 1), (4, 3))
-    assert site_flanks(site) == ((3, 2), (5, 2))
-    # The library reads the axes the same way: a door inside one room
-    # converts exactly its two flanks and leaves the joined tiles, and
-    # every legal site joins the tiles on its through sides.
-    for axis in "xz":
-        grid = parse_ascii("#######\n" + "#00000#\n" * 5 + "#######\n")
-        site = DoorSite((3, 3), axis, (0, 0))
-        assert apply_door(grid, site) == list(site_flanks(site))
-        assert [grid.get(*t) for t in site_through(site)] == [0, 0]
+    # "x" means the joined tiles sit at x - 1 and x + 1, as DoorSite says.
+    assert through(4, 2, "x") == ((3, 2), (5, 2))
+    assert flanks(4, 2, "x") == ((4, 1), (4, 3))
+    assert through(4, 2, "z") == ((4, 1), (4, 3))
+    assert flanks(4, 2, "z") == ((3, 2), (5, 2))
+    # Every legal site joins the tiles on its through sides.
     grid, _ = _grown(3, 11, 11, 5)
     sites = legal_door_sites(grid)
     assert sites
     for site in sites:
-        assert site.joined == tuple(grid.get(*t) for t in site_through(site))
+        ends = through(*site.position, site.axis)
+        assert site.joined == tuple(tile(grid, *end) for end in ends)
 
 
 def test_wallify_fills_only_leftover_interior():
     grid = FloorGrid(7, 7)
-    grid.put(1, 1, 0)
-    grid.put(2, 1, 0)
-    grid.put(3, 3, DOOR)
+    set_tile(grid, 1, 1, 0)
+    set_tile(grid, 2, 1, 0)
+    set_tile(grid, 3, 3, DOOR)
     wallify_leftovers(grid)
-    assert grid.get(1, 1) == 0
-    assert grid.get(2, 1) == 0
-    assert grid.get(3, 3) == DOOR
-    assert grid.count(INTERIOR_WALL) == 25 - 3
-    before = grid.copy()
+    assert tile(grid, 1, 1) == 0
+    assert tile(grid, 2, 1) == 0
+    assert tile(grid, 3, 3) == DOOR
+    assert count(grid, INTERIOR_WALL) == 25 - 3
+    before = copy_plan(grid)
     wallify_leftovers(grid)
     assert grid == before
 
@@ -179,59 +179,62 @@ def test_apply_door_converts_room_flanks():
 #####
 """)
     room = Room(0, (1, 1), grid)
-    converted = apply_door(grid, DoorSite((2, 2), "x", (0, 0)))
-    assert converted == [(2, 1), (2, 3)]
-    assert grid.get(2, 2) == DOOR
-    assert grid.get(2, 1) == INTERIOR_WALL
-    assert grid.get(2, 3) == INTERIOR_WALL
-    assert grid.get(1, 2) == 0
-    assert grid.get(3, 2) == 0
-    assert (2, 1) not in room.tiles
-    assert (2, 3) not in room.tiles
-    assert (1, 2) in room.tiles
+    assert cut(grid, 2, 2, "x") == [(2, 1), (2, 3)]
+    assert tile(grid, 2, 2) == DOOR
+    assert tile(grid, 2, 1) == INTERIOR_WALL
+    assert tile(grid, 2, 3) == INTERIOR_WALL
+    assert tile(grid, 1, 2) == 0
+    assert tile(grid, 3, 2) == 0
+    assert room.tiles == {(1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (3, 3)}
 
 
 def test_apply_door_leaves_wall_and_border_flanks_alone():
-    grid = parse_ascii("""\
+    # The one legal site is (2, 1) along x. Only the room flank at
+    # (2, 2) is converted, by the library and the reference alike.
+    for place in (lambda grid: place_doors(grid, random.Random(0)),
+                  lambda grid: cut(grid, 2, 1, "x")):
+        grid = parse_ascii("""\
 #####
 #0*1#
 #001#
 #011#
 #####
 """)
-    # Only the room flank at (2, 2) is converted and returned.
-    assert apply_door(grid, DoorSite((2, 1), "x", (0, 1))) == [(2, 2)]
-    assert grid.get(2, 1) == DOOR
-    assert grid.get(2, 0) == EXTERIOR_WALL
-    assert grid.get(2, 2) == INTERIOR_WALL
+        place(grid)
+        assert tile(grid, 2, 1) == DOOR
+        assert tile(grid, 2, 0) == EXTERIOR_WALL
+        assert tile(grid, 2, 2) == INTERIOR_WALL
+        assert find(grid, DOOR) == [(2, 1)]
     # Both flanks are interior walls already.
     grid = parse_ascii(PLAN_ONE_SITE)
-    assert apply_door(grid, DoorSite((3, 2), "x", (0, 1))) == []
-    assert grid.get(3, 1) == grid.get(3, 3) == INTERIOR_WALL
+    assert cut(grid, 3, 2, "x") == []
+    assert tile(grid, 3, 1) == tile(grid, 3, 3) == INTERIOR_WALL
 
 
 def test_place_doors_on_one_site_fixture():
     grid = parse_ascii(PLAN_ONE_SITE)
     placed = place_doors(grid, random.Random(7))
     assert placed == [DoorSite((3, 2), "x", (0, 1))]
-    assert grid.get(3, 2) == DOOR
-    assert grid.get(3, 1) == INTERIOR_WALL
-    assert grid.get(3, 3) == INTERIOR_WALL
+    assert tile(grid, 3, 2) == DOOR
+    assert tile(grid, 3, 1) == INTERIOR_WALL
+    assert tile(grid, 3, 3) == INTERIOR_WALL
 
 
 @pytest.mark.parametrize("mode", ["sweep", "saturate"])
 def test_placed_doors_replay_as_legal_sites(mode):
     for seed in range(15):
         grid, rooms = _grown(seed)
-        replay = grid.copy()
+        replay = copy_plan(grid)
         placed = place_doors(grid, derive_rng(seed, "doors"),
                              rooms=rooms, mode=mode)
         positions = [site.position for site in placed]
         assert len(set(positions)) == len(positions)
         for site in placed:
-            assert site in legal_door_sites(replay)
-            assert site_is_legal(replay, site, "any")
-            apply_door(replay, site)
+            (x, z), axis = site.position, site.axis
+            assert (x, z, axis) in door_sites(replay, "any")
+            assert site.joined == tuple(tile(replay, *t)
+                                        for t in through(x, z, axis))
+            cut(replay, x, z, axis)
         assert replay == grid
 
 
@@ -284,7 +287,7 @@ def test_sweep_visits_each_starting_wall_once():
     # A sweep can never place more doors than there were walls to visit.
     for seed in range(10):
         grid, _ = _grown(seed)
-        walls = grid.count(INTERIOR_WALL)
+        walls = count(grid, INTERIOR_WALL)
         placed = place_doors(grid, derive_rng(seed, "doors"))
         assert len(placed) <= walls
 
@@ -298,9 +301,9 @@ def test_entrance_on_only_candidate():
 #####
 """)
     for seed in range(5):
-        g = grid.copy()
+        g = copy_plan(grid)
         assert place_exterior_door(g, random.Random(seed)) == (2, 0)
-        assert g.get(2, 0) == EXTERIOR_DOOR
+        assert tile(g, 2, 0) == EXTERIOR_DOOR
 
 
 def test_entrance_properties():
@@ -313,23 +316,11 @@ def test_entrance_properties():
         assert pos not in ((0, 0), (grid.width - 1, 0),
                            (0, grid.depth - 1),
                            (grid.width - 1, grid.depth - 1))
-        assert grid.get(x, z) == EXTERIOR_DOOR
+        assert tile(grid, x, z) == EXTERIOR_DOOR
         inner = [n for n in neighbors(grid, x, z) if n not in ring]
         assert len(inner) == 1
-        assert grid.get(*inner[0]) >= 0
+        assert tile(grid, *inner[0]) >= 0
         assert grid.entrance() == pos
-
-
-def entrance_oracle(grid, rng):
-    """The entrance as a draw over the (x, z)-sorted non-corner border
-    tiles that have a room tile behind them, or None if there are none."""
-    inside = set(interior(grid))
-    candidates = []
-    for x, z in border(grid):
-        inner = [n for n in neighbors(grid, x, z) if n in inside]
-        if len(neighbors(grid, x, z)) == 3 and grid.get(*inner[0]) >= 0:
-            candidates.append((x, z))
-    return rng.choice(candidates) if candidates else None
 
 
 def test_entrance_matches_the_oracle():
@@ -344,16 +335,15 @@ def test_entrance_matches_the_oracle():
                                    [INTERIOR_WALL] * 30 + [DOOR, 3],
                                    [INTERIOR_WALL, DOOR]])
             for x, z in interior(grid):
-                grid.put(x, z, pick.choice(palette))
-        expected = entrance_oracle(grid, derive_rng(seed, "entrance"))
-        carved = grid.copy()
-        if expected is None:
+                set_tile(grid, x, z, pick.choice(palette))
+        carved = copy_plan(grid)
+        if not reference.entrance_sites(grid):
             with pytest.raises(EntranceError):
                 place_exterior_door(carved, derive_rng(seed, "entrance"))
             continue
+        expected = reference.place_entrance(grid, derive_rng(seed, "entrance"))
         assert place_exterior_door(
             carved, derive_rng(seed, "entrance")) == expected
-        grid.put(*expected, EXTERIOR_DOOR)
         assert carved == grid
 
 
@@ -374,7 +364,7 @@ def test_components_match_flood_fill_oracle():
         grid, rooms = _grown(seed)
         place_doors(grid, derive_rng(seed, "doors"), rooms=rooms)
         report = connected_components(grid)
-        assert report.component_count == len(passable_components(grid))
+        assert report.component_count == len(components(grid))
 
 
 SIDES = {"x = 0": lambda w, d, x, z: x == 0,
@@ -397,10 +387,10 @@ def test_components_match_oracle_with_entrance_on_each_side(width, depth,
             corner = len(neighbors(grid, x, z)) == 2
             if corner or not on_side(width, depth, x, z):
                 continue
-            carved = grid.copy()
-            carved.put(x, z, EXTERIOR_DOOR)
+            carved = copy_plan(grid)
+            set_tile(carved, x, z, EXTERIOR_DOOR)
             report = connected_components(carved)
-            assert report.component_count == len(passable_components(carved))
+            assert report.component_count == len(components(carved))
 
 
 @pytest.mark.parametrize("width,depth", [(9, 9), (7, 12), (13, 6)])
@@ -413,15 +403,15 @@ def test_components_keep_border_openings_apart(width, depth):
     wallify_leftovers(grid)
     for x, z in border(grid):
         if len(neighbors(grid, x, z)) == 3:
-            grid.put(x, z, EXTERIOR_DOOR)
+            set_tile(grid, x, z, EXTERIOR_DOOR)
     report = connected_components(grid)
-    assert report.component_count == len(passable_components(grid)) == 4
+    assert report.component_count == len(components(grid)) == 4
 
 
 def test_report_connected_property():
     grid = parse_ascii(PLAN_ONE_SITE)
     assert connected_components(grid).component_count == 2
-    apply_door(grid, DoorSite((3, 2), "x", (0, 1)))
+    cut(grid, 3, 2, "x")
     report = connected_components(grid)
     assert report.component_count == 1
     assert report.connected
@@ -429,8 +419,8 @@ def test_report_connected_property():
 
 def test_repair_leaves_connected_plan_alone():
     grid = parse_ascii(PLAN_ONE_SITE)
-    apply_door(grid, DoorSite((3, 2), "x", (0, 1)))
-    before = grid.copy()
+    cut(grid, 3, 2, "x")
+    before = copy_plan(grid)
     report = repair_connectivity(grid, random.Random(3))
     assert report.repairs_applied == 0
     assert grid == before
@@ -442,7 +432,7 @@ def test_repair_bridges_two_rooms_with_one_door():
         report = repair_connectivity(grid, random.Random(seed))
         assert report.repairs_applied == 1
         assert report.connected
-        assert grid.get(3, 2) == DOOR
+        assert tile(grid, 3, 2) == DOOR
 
 
 def test_repair_fails_behind_two_thick_walls():
@@ -459,44 +449,28 @@ def test_repair_connects_many_seeds():
         report = repair_connectivity(grid, derive_rng(seed, "repair"),
                                      rooms=rooms)
         assert report.connected
-        assert len(passable_components(grid)) <= 1
+        assert len(components(grid)) <= 1
         for room in rooms:
-            assert room.tiles == set(grid.find(room.id))
-
-
-def _oracle_bridges(grid):
-    # (position, axis) of every wall tile whose two through sides lie in
-    # different components of the flood-fill oracle.
-    comp_of = {t: k for k, comp in enumerate(passable_components(grid))
-               for t in comp}
-    bridges = set()
-    for x, z in interior(grid):
-        if grid.get(x, z) != INTERIOR_WALL:
-            continue
-        for axis, a, b in (("x", (x - 1, z), (x + 1, z)),
-                           ("z", (x, z - 1), (x, z + 1))):
-            if a in comp_of and b in comp_of and comp_of[a] != comp_of[b]:
-                bridges.add(((x, z), axis))
-    return bridges
+            assert room.tiles == set(find(grid, room.id))
 
 
 def _repair_draws(grid, rng):
     """Run repair on grid; return, for each repair, the grid before it
-    and the sites (as position and axis) it drew the door from."""
+    and the sites (as x, z and axis) it drew the door from."""
     draws = []
     draw = rng.choice
 
     def choice(keys):
         # Site keys are 2 * (x * depth + z) + (axis == "z").
-        draws.append((grid.copy(), [(divmod(k >> 1, grid.depth), "xz"[k & 1])
-                                    for k in keys]))
+        draws.append((copy_plan(grid), [(*divmod(k >> 1, grid.depth),
+                                         "xz"[k & 1]) for k in keys]))
         return draw(keys)
 
     rng.choice = choice
     try:
         repair_connectivity(grid, rng)
     except RepairError:
-        assert not _oracle_bridges(grid)
+        assert not bridges(grid)
     return draws
 
 
@@ -509,7 +483,7 @@ def test_repair_bridges_join_different_oracle_components():
         rng = random.Random(seed)
         for x, z in interior(grid):
             if rng.random() < 0.15:
-                grid.put(x, z, INTERIOR_WALL)
+                set_tile(grid, x, z, INTERIOR_WALL)
         rooms = place_rooms(grid, 6, derive_rng(seed, "rooms"))
         grow_rooms(grid, rooms, derive_rng(seed, "growth"))
         wallify_leftovers(grid)
@@ -517,7 +491,6 @@ def test_repair_bridges_join_different_oracle_components():
     repairs = 0
     for grid in grids:
         for before, sites in _repair_draws(grid, random.Random(0)):
-            assert len(sites) == len(set(sites))
-            assert set(sites) == _oracle_bridges(before)
+            assert sites == bridges(before)
             repairs += 1
     assert repairs > len(grids)

@@ -8,8 +8,8 @@ A second digest per configuration pins the plan-stage artifacts the
 first one does not see: each room's anchor and final tile set, the
 component count before repair, the repairs applied, the final component
 count and the final plan's components, largest first. The library
-reports only a count, so the components come from the flood-fill oracle
-in helpers.py, sorted the way the report's components were when the
+reports only a count, so the components come from the flood fill of
+reference.py, sorted the way the report's components were when the
 constants were recorded. Two non-square floors make sure a transposed
 tile layout cannot pass. A third digest pins the exact text
 `generate --format json` writes for each building, less its `metrics`
@@ -48,7 +48,7 @@ from blockhouse.metrics import building_seed
 from blockhouse.pipeline import RunConfig, generate_building
 from blockhouse.rooms import RoomCountPolicy
 
-from helpers import passable_components
+from reference import components
 
 MASTER_SEED = 20260816
 
@@ -155,10 +155,10 @@ def artifact_parts(result) -> list[str]:
                  f"components {result.report.component_count}")
     # The final plan's components, largest first, ties broken by the
     # smallest coordinate: the order the recorded constants hash.
-    components = sorted(passable_components(result.plan),
-                        key=lambda comp: (-len(comp), min(comp)))
+    found = sorted(components(result.plan),
+                   key=lambda comp: (-len(comp), min(comp)))
     parts.extend(";".join(f"{x},{z}" for x, z in sorted(comp))
-                 for comp in components)
+                 for comp in found)
     return parts
 
 

@@ -1,4 +1,5 @@
-"""Grid primitives: construction, access, validation, seed derivation."""
+"""Grid primitives: construction, the border ring, the entrance,
+validation, seed derivation."""
 
 import pytest
 
@@ -16,7 +17,16 @@ from blockhouse.grid import (
     derive_seed,
 )
 
-from helpers import border, border_owner, facade_column, interior, neighbors
+from reference import (
+    border,
+    count,
+    facade_tiles,
+    find,
+    interior,
+    neighbors,
+    set_tile,
+    tile,
+)
 
 
 def test_minimum_dimensions_enforced():
@@ -31,21 +41,11 @@ def test_minimum_dimensions_enforced():
 def test_fresh_grid_is_walled_shell_around_empty_interior():
     grid = FloorGrid(7, 9)
     for x, z in border(grid):
-        assert grid.get(x, z) == EXTERIOR_WALL
+        assert tile(grid, x, z) == EXTERIOR_WALL
     for x, z in interior(grid):
-        assert grid.get(x, z) == EMPTY
-    assert grid.count(EXTERIOR_WALL) == 7 * 9 - 5 * 7
-    assert grid.count(EMPTY) == 5 * 7
-
-
-def test_get_put_bounds_checking():
-    grid = FloorGrid(5, 5)
-    grid.put(2, 2, 7)
-    assert grid.get(2, 2) == 7
-    with pytest.raises(IndexError):
-        grid.get(5, 0)
-    with pytest.raises(IndexError):
-        grid.put(0, -1, EMPTY)
+        assert tile(grid, x, z) == EMPTY
+    assert count(grid, EXTERIOR_WALL) == 7 * 9 - 5 * 7
+    assert count(grid, EMPTY) == 5 * 7
 
 
 @pytest.mark.parametrize("width,depth", [(5, 5), (5, 12), (12, 5), (31, 17)])
@@ -54,35 +54,18 @@ def test_sides_match_the_border_oracles(width, depth):
     sides = grid.sides()
     assert list(sides) == list(FACADE_ORDER)
     inside = set(interior(grid))
-    painted = {}  # border tile -> the last side listing it
+    ring = set()
     for side, (tiles, inward) in sides.items():
-        assert list(tiles) == sorted(tiles)
-        for column, j in enumerate(tiles):
+        assert [divmod(j, depth) for j in tiles] == facade_tiles(grid, side)
+        for j in tiles:
             x, z = divmod(j, depth)
-            painted[x, z] = side
-            assert facade_column(side, x, z, width, depth) == column
+            ring.add((x, z))
             behind = divmod(j + inward, depth)
             assert behind in neighbors(grid, x, z)
             # Only a corner's inward step stays on the ring.
             corner = len(neighbors(grid, x, z)) == 2
             assert (behind in inside) != corner
-    assert sorted(painted) == border(grid)
-    for (x, z), side in painted.items():
-        assert border_owner(x, z, width, depth) == side
-
-
-def test_find_count_room_ids_entrance():
-    grid = FloorGrid(6, 6)
-    grid.put(1, 1, 0)
-    grid.put(2, 1, 0)
-    grid.put(3, 3, 4)
-    grid.put(2, 2, DOOR)
-    assert grid.count(0) == 2
-    assert grid.find(4) == [(3, 3)]
-    assert grid.room_ids() == [0, 4]
-    assert grid.entrance() is None
-    grid.put(0, 2, EXTERIOR_DOOR)
-    assert grid.entrance() == (0, 2)
+    assert sorted(ring) == border(grid)
 
 
 @pytest.mark.parametrize("width,depth", [(6, 6), (7, 11), (12, 5)])
@@ -95,8 +78,8 @@ def test_entrance_on_each_side(width, depth):
     for x, z in tiles:
         grid = FloorGrid(width, depth)
         assert grid.entrance() is None
-        grid.put(x, z, EXTERIOR_DOOR)
-        assert grid.entrance() == (x, z) == grid.find(EXTERIOR_DOOR)[0]
+        set_tile(grid, x, z, EXTERIOR_DOOR)
+        assert grid.entrance() == (x, z) == find(grid, EXTERIOR_DOOR)[0]
 
 
 def test_entrance_of_a_plan_with_two_is_the_first_in_cells_order():
@@ -109,27 +92,19 @@ E0000#
 #0000#
 ######
 """)
-    assert grid.find(EXTERIOR_DOOR) == [(0, 2), (3, 0)]
+    assert find(grid, EXTERIOR_DOOR) == [(0, 2), (3, 0)]
     assert grid.entrance() == (0, 2)
-    grid.put(0, 2, EXTERIOR_WALL)
+    set_tile(grid, 0, 2, EXTERIOR_WALL)
     assert grid.entrance() == (3, 0)
-    grid.put(3, 0, EXTERIOR_WALL)
+    set_tile(grid, 3, 0, EXTERIOR_WALL)
     assert grid.entrance() is None
-
-
-def test_copy_is_independent():
-    grid = FloorGrid(5, 5)
-    dup = grid.copy()
-    dup.put(2, 2, 9)
-    assert grid.get(2, 2) == EMPTY
-    assert dup.get(2, 2) == 9
 
 
 def test_equality_tracks_tiles_and_shape():
     a = FloorGrid(5, 6)
     b = FloorGrid(5, 6)
     assert a == b
-    b.put(1, 1, 0)
+    set_tile(b, 1, 1, 0)
     assert a != b
     assert a != FloorGrid(6, 5)
 
@@ -140,18 +115,18 @@ def test_validate_accepts_fresh_grid():
 
 def test_validate_rejects_bad_border_and_interior_states():
     grid = FloorGrid(5, 5)
-    grid.put(0, 2, DOOR)
+    set_tile(grid, 0, 2, DOOR)
     with pytest.raises(ValueError, match=r"border tile \(0, 2\)"):
         grid.validate()
 
     grid = FloorGrid(5, 5)
-    grid.put(2, 2, EXTERIOR_WALL)
+    set_tile(grid, 2, 2, EXTERIOR_WALL)
     with pytest.raises(ValueError, match=r"interior tile \(2, 2\)"):
         grid.validate()
 
     grid = FloorGrid(5, 5)
-    grid.put(0, 1, EXTERIOR_DOOR)
-    grid.put(0, 2, EXTERIOR_DOOR)
+    set_tile(grid, 0, 1, EXTERIOR_DOOR)
+    set_tile(grid, 0, 2, EXTERIOR_DOOR)
     with pytest.raises(ValueError, match="2 entrances"):
         grid.validate()
 
@@ -162,14 +137,14 @@ def test_validate_names_the_first_bad_border_tile_in_border_order():
     for k, (x, z) in enumerate(ring):
         for later in ring[k:]:
             grid = FloorGrid(20, 9)
-            grid.put(*later, EMPTY)
-            grid.put(x, z, 0)
+            set_tile(grid, *later, EMPTY)
+            set_tile(grid, x, z, 0)
             first = rf"border tile \({x}, {z}\) holds state 0"
             with pytest.raises(ValueError, match=first):
                 grid.validate()
         # Each ring tile counts once, corners included.
         grid = FloorGrid(20, 9)
-        grid.put(x, z, EXTERIOR_DOOR)
+        set_tile(grid, x, z, EXTERIOR_DOOR)
         grid.validate()
 
 

@@ -1,18 +1,15 @@
-"""Oracle tests for the plan stage's two incremental loops.
+"""The plan stage's two incremental loops against the reference.
 
 Growth keeps a touch map and each room's frontier, a sorted list of
 tile indices, up to date claim by claim, and saturate door placement
 keeps a sorted list of legal site keys up to date door by door. The
-references below are the rescanning algorithms they replace: growth
-recomputes every room's candidates from `cells` on every turn
-(`growth_candidates_oracle` and `touch_oracle` in helpers.py, which
-share no code with `rooms.touch_map`), and saturate recomputes
-`legal_door_sites` after every door. Both draw from the same sorted
-lists, so for every seed the library must consume the same random
-numbers and build exactly the same plan.
+stages of reference.py rescan the plan by coordinates for every
+decision instead: growth recomputes the room's candidates on every
+turn, and saturate recomputes every legal site after every door. Both
+draw from the same sorted lists, so for every seed the library must
+consume the same random numbers and build exactly the same plan.
 """
 
-import copy
 import random
 
 import pytest
@@ -27,6 +24,7 @@ from blockhouse.doors import (
 )
 from blockhouse.grid import DOOR, EMPTY, INTERIOR_WALL, FloorGrid, derive_rng
 from blockhouse.rooms import (
+    BLOCKED,
     PlacementError,
     Room,
     grow_rooms,
@@ -36,12 +34,17 @@ from blockhouse.rooms import (
     touch_map,
 )
 
-from helpers import (
-    apply_door,
-    frontier,
-    growth_candidates_oracle,
+import reference
+from helpers import frontier
+from reference import (
+    columns,
+    coords,
+    copy_plan,
+    find,
+    growth_candidates,
     interior,
-    touch_oracle,
+    neighbors,
+    set_tile,
 )
 
 # Each @given test also pins its examples with a fixed @seed, which
@@ -57,35 +60,6 @@ obstacle_shares = st.sampled_from([0.0, 0.0, 0.05, 0.15])
 wall_rules = st.sampled_from(WALL_RULES)
 
 
-def reference_grow(grid, rooms, rng):
-    """Growth as a fixed point of full rescans."""
-    def one_pass():
-        order = list(rooms)
-        rng.shuffle(order)
-        claimed = 0
-        for room in order:
-            candidates = growth_candidates_oracle(grid, room.id)
-            if not candidates:
-                continue
-            x, z = rng.choice(sorted(candidates))
-            grid.put(x, z, room.id)
-            claimed += 1
-        return claimed
-
-    while rooms and one_pass():
-        pass
-
-
-def reference_saturate(grid, rng, wall_rule):
-    """Saturate door placement as a fixed point of full rescans."""
-    placed = []
-    while sites := legal_door_sites(grid, wall_rule):
-        site = rng.choice(sorted(sites))
-        apply_door(grid, site)
-        placed.append(site)
-    return placed
-
-
 def seeded_floor(width, depth, count, seed, obstacles):
     """A floor with some interior tiles walled off at random (so growth
     meets odd shapes), then room seeds placed on what is left."""
@@ -93,7 +67,7 @@ def seeded_floor(width, depth, count, seed, obstacles):
     rng = random.Random(seed)
     for x, z in interior(grid):
         if rng.random() < obstacles:
-            grid.put(x, z, INTERIOR_WALL)
+            set_tile(grid, x, z, INTERIOR_WALL)
     try:
         rooms = place_rooms(grid, count, derive_rng(seed, "rooms"))
     except PlacementError:
@@ -101,8 +75,8 @@ def seeded_floor(width, depth, count, seed, obstacles):
     return grid, rooms
 
 
-def tiles_of(rooms):
-    return [(room.id, sorted(room.tiles)) for room in rooms]
+def placed(sites):
+    return [(site.position, site.axis, site.joined) for site in sites]
 
 
 @SETTINGS
@@ -111,16 +85,36 @@ def tiles_of(rooms):
 def test_grow_rooms_matches_rescanning_growth(width, depth, count, seed,
                                               obstacles):
     grid, rooms = seeded_floor(width, depth, count, seed, obstacles)
-    ref_grid, ref_rooms = copy.deepcopy((grid, rooms))
+    ref_grid = copy_plan(grid)
     rng = derive_rng(seed, "growth")
     ref_rng = derive_rng(seed, "growth")
 
     grow_rooms(grid, rooms, rng)
-    reference_grow(ref_grid, ref_rooms, ref_rng)
+    reference.grow_rooms(ref_grid, [room.id for room in rooms], ref_rng)
 
     assert grid == ref_grid
-    assert tiles_of(rooms) == tiles_of(ref_rooms)
     assert rng.getstate() == ref_rng.getstate()
+
+
+def touch_oracle(grid, ids):
+    """The touch map read from the plan by coordinates: EMPTY for an empty
+    tile with no room tile beside it, r for one beside tiles of room r
+    alone when r is in `ids`, and BLOCKED for every other tile."""
+    t = columns(grid)
+    out = []
+    for x, z in coords(grid):
+        if t[x][z] != EMPTY:
+            out.append(BLOCKED)
+            continue
+        near = {u for nx, nz in neighbors(grid, x, z)
+                if (u := t[nx][nz]) >= 0}
+        if not near:
+            out.append(EMPTY)
+        elif len(near) == 1 and (r := near.pop()) in ids:
+            out.append(r)
+        else:
+            out.append(BLOCKED)
+    return out
 
 
 def frontiers_of(touch, ids):
@@ -149,12 +143,10 @@ def test_frontiers_equal_growth_candidates_after_every_pass(
         # A fresh scan of the grown plan finds the state kept claim by claim.
         assert touch_map(grid, ids) == (touch, frontiers)
         for room in rooms:
-            kept = frontiers[room.id]
-            assert ({divmod(i, depth) for i in kept}
-                    == growth_candidates_oracle(grid, room.id))
-            assert all(a < b for a, b in zip(kept, kept[1:]))
+            assert ([divmod(i, depth) for i in frontiers[room.id]]
+                    == growth_candidates(grid, room.id))
     # The final pass claimed nothing because every frontier is empty.
-    assert all(not growth_candidates_oracle(grid, room.id) for room in rooms)
+    assert all(not growth_candidates(grid, room.id) for room in rooms)
 
 
 @pytest.mark.parametrize("size, seed, obstacles",
@@ -166,9 +158,10 @@ def test_touch_map_matches_rescan_after_every_pass_on_large_floors(
     # touch map and frontiers are rescanned after every pass instead.
     grid, rooms = seeded_floor(size, size, room_count(size, size), seed,
                                obstacles)
-    grown, grown_rooms = copy.deepcopy((grid, rooms))
+    grown = copy_plan(grid)
     grown_rng = derive_rng(seed, "growth")
-    grow_rooms(grown, grown_rooms, grown_rng)
+    grow_rooms(grown, [Room(room.id, room.anchor, grown) for room in rooms],
+               grown_rng)
     rng = derive_rng(seed, "growth")
     ids = [room.id for room in rooms]
     touch, frontiers = touch_map(grid, ids)
@@ -194,13 +187,12 @@ def test_growth_candidates_match_oracle_on_arbitrary_tile_fields(
     rng = random.Random(seed)
     for x, z in interior(grid):
         if rng.random() < obstacles:
-            grid.put(x, z, rng.choice([INTERIOR_WALL, DOOR]))
+            set_tile(grid, x, z, rng.choice([INTERIOR_WALL, DOOR]))
         else:
-            grid.put(x, z, rng.choice([EMPTY, EMPTY, EMPTY, 0, 1, 2]))
+            set_tile(grid, x, z, rng.choice([EMPTY, EMPTY, EMPTY, 0, 1, 2]))
     for room_id in range(3):
-        room = Room(room_id, min(grid.find(room_id), default=(1, 1)), grid)
-        assert (frontier(grid, room)
-                == growth_candidates_oracle(grid, room_id))
+        room = Room(room_id, min(find(grid, room_id), default=(1, 1)), grid)
+        assert frontier(grid, room) == set(growth_candidates(grid, room_id))
     # Room 1 left out of the list bars the tiles beside it.
     for ids in ([0, 1, 2], [0, 2]):
         assert touch_map(grid, ids)[0] == touch_oracle(grid, ids)
@@ -214,16 +206,15 @@ def test_saturate_matches_rescanning_placement(width, depth, count, seed,
     grid, rooms = seeded_floor(width, depth, count, seed, obstacles)
     grow_rooms(grid, rooms, derive_rng(seed, "growth"))
     wallify_leftovers(grid)
-    ref_grid, ref_rooms = copy.deepcopy((grid, rooms))
+    ref_grid = copy_plan(grid)
     rng = derive_rng(seed, "doors")
     ref_rng = derive_rng(seed, "doors")
 
-    placed = place_doors(grid, rng, rooms, wall_rule, "saturate")
-    ref_placed = reference_saturate(ref_grid, ref_rng, wall_rule)
+    got = place_doors(grid, rng, rooms, wall_rule, "saturate")
+    want = reference.place_doors(ref_grid, ref_rng, wall_rule, "saturate")
 
-    assert placed == ref_placed
+    assert placed(got) == want
     assert grid == ref_grid
-    assert tiles_of(rooms) == tiles_of(ref_rooms)
     assert rng.getstate() == ref_rng.getstate()
 
 
@@ -239,14 +230,19 @@ def test_saturate_matches_rescanning_on_arbitrary_tile_fields(
     rng = random.Random(seed)
     palette = [INTERIOR_WALL] * 6 + [DOOR] + [0, 1, 2, 3]
     for x, z in interior(grid):
-        grid.put(x, z, rng.choice(palette))
-    ref_grid = grid.copy()
+        set_tile(grid, x, z, rng.choice(palette))
+    ref_grid = copy_plan(grid)
+    assert ({(site.position, site.axis)
+             for site in legal_door_sites(grid, wall_rule)}
+            == {((x, z), axis)
+                for x, z, axis in reference.door_sites(grid, wall_rule)})
     draw_rng = derive_rng(seed, "doors")
     ref_draw_rng = derive_rng(seed, "doors")
 
-    placed = place_doors(grid, draw_rng, None, wall_rule, "saturate")
-    ref_placed = reference_saturate(ref_grid, ref_draw_rng, wall_rule)
+    got = place_doors(grid, draw_rng, None, wall_rule, "saturate")
+    want = reference.place_doors(ref_grid, ref_draw_rng, wall_rule,
+                                 "saturate")
 
-    assert placed == ref_placed
+    assert placed(got) == want
     assert grid == ref_grid
     assert not legal_door_sites(grid, wall_rule)

@@ -28,6 +28,7 @@ from blockhouse.pipeline import RunConfig, generate_building
 from blockhouse.rooms import RoomCountPolicy
 
 from helpers import fail_one_building, interior_tile_conservation
+from reference import count, room_ids
 
 PLAN_ONE_ROOM = """\
 #####
@@ -124,8 +125,8 @@ def test_room_areas_match_per_room_counts_on_a_dense_plan():
     m = measure_building(plan, result.report, result.elapsed,
                          result.requested_rooms)
     assert m.room_areas == tuple(plan.cells.count(rid) for rid in range(150))
-    assert m.room_count == len(plan.room_ids()) > 100
-    assert m.interior_door_count == plan.count(DOOR)
+    assert m.room_count == len(room_ids(plan)) > 100
+    assert m.interior_door_count == count(plan, DOOR)
 
 
 def test_building_seed_derivation():

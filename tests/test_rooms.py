@@ -14,13 +14,8 @@ from blockhouse.rooms import (
     touch_map,
 )
 
-from helpers import (
-    coords,
-    frontier,
-    interior,
-    rooms_are_separated,
-    room_tiles_connected,
-)
+from helpers import frontier, rooms_are_separated, room_tiles_connected
+from reference import coords, count, find, interior, set_tile, tile
 
 
 def test_room_count_known_values():
@@ -63,7 +58,7 @@ def test_place_rooms_two_in_seven_by_seven():
         grid = FloorGrid(7, 7)
         rooms = place_rooms(grid, 2, derive_rng(seed, "rooms"))
         assert len(rooms) == 2
-        assert sum(grid.count(r.id) for r in rooms) == 8
+        assert sum(count(grid, r.id) for r in rooms) == 8
         assert rooms_are_separated(grid)
         for room in rooms:
             ax, az = room.anchor
@@ -71,7 +66,7 @@ def test_place_rooms_two_in_seven_by_seven():
             assert room.tiles == square
             for x, z in square:
                 assert (x, z) in interior(grid)
-                assert grid.get(x, z) == room.id
+                assert tile(grid, x, z) == room.id
 
 
 def test_place_rooms_single_room_in_minimum_grid():
@@ -95,7 +90,7 @@ def test_place_rooms_drops_unplaceable_rooms():
 def test_place_rooms_error_when_nothing_fits():
     grid = FloorGrid(5, 5)
     for x, z in interior(grid):
-        grid.put(x, z, INTERIOR_WALL)
+        set_tile(grid, x, z, INTERIOR_WALL)
     with pytest.raises(PlacementError):
         place_rooms(grid, 2, derive_rng(0, "rooms"))
 
@@ -103,7 +98,7 @@ def test_place_rooms_error_when_nothing_fits():
 def test_growth_candidates_ring_around_lone_seed():
     grid = FloorGrid(9, 9)
     for x, z in ((4, 4), (5, 4), (4, 5), (5, 5)):
-        grid.put(x, z, 0)
+        set_tile(grid, x, z, 0)
     room = Room(0, (4, 4), grid)
     expected = {(3, 4), (3, 5), (6, 4), (6, 5), (4, 3), (5, 3), (4, 6), (5, 6)}
     assert frontier(grid, room) == expected
@@ -118,7 +113,7 @@ def test_growth_candidates_exclude_tiles_near_other_rooms():
     for room in (a, b):
         ax, az = room.anchor
         for x, z in ((ax, az), (ax + 1, az), (ax, az + 1), (ax + 1, az + 1)):
-            grid.put(x, z, room.id)
+            set_tile(grid, x, z, room.id)
     gap = {(3, 2), (3, 3)}
     assert gap & frontier(grid, a) == set()
     assert gap & frontier(grid, b) == set()
@@ -130,24 +125,24 @@ def test_room_left_out_of_the_list_still_bars_its_neighbours():
     grid = FloorGrid(9, 7)
     for room_id, (ax, az) in ((0, (1, 2)), (1, (5, 2))):
         for x, z in ((ax, az), (ax + 1, az), (ax, az + 1), (ax + 1, az + 1)):
-            grid.put(x, z, room_id)
-    kept = set(grid.find(1))
+            set_tile(grid, x, z, room_id)
+    kept = set(find(grid, 1))
     beside = {(x + dx, z + dz) for x, z in kept
               for dx, dz in ((1, 0), (-1, 0), (0, 1), (0, -1))} - kept
     grow_rooms(grid, [Room(0, (1, 2), grid)], derive_rng(5, "growth"))
-    assert set(grid.find(1)) == kept
+    assert set(find(grid, 1)) == kept
     assert rooms_are_separated(grid)
-    assert all(grid.get(x, z) != 0 for x, z in beside)
-    assert grid.count(0) > 4
+    assert all(tile(grid, x, z) != 0 for x, z in beside)
+    assert count(grid, 0) > 4
 
 
 def test_growth_candidates_empty_when_boxed_in():
     grid = FloorGrid(6, 6)
     room = Room(0, (1, 1), grid)
     for x, z in ((1, 1), (2, 1), (1, 2), (2, 2)):
-        grid.put(x, z, 0)
+        set_tile(grid, x, z, 0)
     for x, z in ((3, 1), (3, 2), (1, 3), (2, 3), (3, 3)):
-        grid.put(x, z, 1)
+        set_tile(grid, x, z, 1)
     assert frontier(grid, room) == set()
 
 
@@ -155,8 +150,8 @@ def test_single_room_grows_to_fill_interior():
     grid = FloorGrid(7, 7)
     rooms = place_rooms(grid, 1, derive_rng(3, "rooms"))
     grow_rooms(grid, rooms, derive_rng(3, "growth"))
-    assert grid.count(rooms[0].id) == 25
-    assert grid.count(EMPTY) == 0
+    assert count(grid, rooms[0].id) == 25
+    assert count(grid, EMPTY) == 0
 
 
 def test_growth_is_monotone_and_terminates():
@@ -185,7 +180,7 @@ def test_grown_rooms_stay_separated_and_connected():
         for room in rooms:
             assert room_tiles_connected(grid, room.id)
             assert {(x, z) for x, z in coords(grid)
-                    if grid.get(x, z) == room.id} == room.tiles
+                    if tile(grid, x, z) == room.id} == room.tiles
 
 
 def test_no_leftover_tile_is_anyones_candidate():

@@ -1,11 +1,13 @@
-"""Oracle tests for three exact shortcuts in the per-building stages.
+"""Three exact shortcuts in the per-building stages, against the
+reference.
 
-Room seeding stops drawing once no corner can take a seed, the facade
-automaton steps walls of equal length as one stacked int, and assembly
-builds the voxel buffer from premade columns. The references below are
-the direct forms they replace: 100 draws for every room, each wall
-stepped on its own by a brute-force recompute, and one column per tile
-decided by its kind. The library must produce exactly what they do.
+Room seeding stops at the first corner-free floor without scanning for
+it again, the facade automaton steps walls of equal length as one
+stacked int, and assembly builds the voxel buffer from premade columns.
+The stages of reference.py do it directly: a scan for a free corner
+before every room, each wall stepped on its own, one cell at a time,
+and one column per tile decided by its kind. The library must produce
+exactly what they do.
 """
 
 import random
@@ -14,19 +16,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from blockhouse.assembly import (
-    AIR,
-    DOOR_OPENING,
-    FLOOR_SLAB,
-    ROOF_SLAB,
-    SOLID_WALL,
-    assemble,
-)
+from blockhouse.assembly import assemble
 from blockhouse.facade import (
     FACADE_ORDER,
     CaParams,
     generate_facades,
-    init_wall,
 )
 from blockhouse.grid import (
     DOOR,
@@ -36,15 +30,11 @@ from blockhouse.grid import (
     FloorGrid,
     derive_rng,
 )
-from blockhouse.rooms import PlacementError, Room, _seed_fits, place_rooms
+from blockhouse.rooms import PlacementError, place_rooms
 
-from helpers import (
-    block_at,
-    ca_oracle_step,
-    generated_wall,
-    interior,
-    wall_of,
-)
+import reference
+from helpers import block_at, generated_wall
+from reference import column, copy_plan, interior, set_tile, tile
 
 # Each @given test also pins its examples with a fixed @seed, which
 # overrides derandomize: derandomize alone derives them from the test's
@@ -59,57 +49,41 @@ attempts = st.integers(min_value=1, max_value=100)
 obstacle_shares = st.sampled_from([0.0, 0.0, 0.05, 0.15, 0.4])
 
 
-def reference_place_rooms(grid, count, rng, max_attempts):
-    """Seeding as first written: every room makes all its draws."""
-    rooms = []
-    for room_id in range(count):
-        for _ in range(max_attempts):
-            x = rng.randint(1, grid.width - 3)
-            z = rng.randint(1, grid.depth - 3)
-            if _seed_fits(grid, x, z):
-                square = {(x, z), (x + 1, z), (x, z + 1), (x + 1, z + 1)}
-                for sx, sz in square:
-                    grid.put(sx, sz, room_id)
-                rooms.append(Room(room_id, (x, z), grid))
-                break
-    if not rooms:
-        raise PlacementError("no room placed")
-    return rooms
-
-
 def obstructed_floor(width, depth, seed, obstacles):
     grid = FloorGrid(width, depth)
     rng = random.Random(seed)
     for x, z in interior(grid):
         if rng.random() < obstacles:
-            grid.put(x, z, INTERIOR_WALL)
+            set_tile(grid, x, z, INTERIOR_WALL)
     return grid
 
 
-def placed_or_none(grid, count, rng, max_attempts, place):
+def placed_or_none(place, *args):
     try:
-        rooms = place(grid, count, rng, max_attempts)
+        return place(*args)
     except PlacementError:
         return None
-    return [(room.id, room.anchor, sorted(room.tiles)) for room in rooms]
 
 
 @SETTINGS
 @seed(6)
 @given(sizes, sizes, room_counts, attempts, seeds, obstacle_shares)
-def test_place_rooms_matches_drawing_every_attempt(width, depth, count,
-                                                   max_attempts, seed,
-                                                   obstacles):
+def test_place_rooms_matches_scanning_before_every_room(
+        width, depth, count, max_attempts, seed, obstacles):
     grid = obstructed_floor(width, depth, seed, obstacles)
-    ref_grid = grid.copy()
+    ref_grid = copy_plan(grid)
+    rng = derive_rng(seed, "rooms")
+    ref_rng = derive_rng(seed, "rooms")
 
-    got = placed_or_none(grid, count, derive_rng(seed, "rooms"),
-                         max_attempts, place_rooms)
-    want = placed_or_none(ref_grid, count, derive_rng(seed, "rooms"),
-                          max_attempts, reference_place_rooms)
+    got = placed_or_none(place_rooms, grid, count, rng, max_attempts)
+    want = placed_or_none(reference.place_rooms, ref_grid, count, ref_rng,
+                          max_attempts)
 
+    if got is not None:
+        got = [(room.id, room.anchor) for room in got]
     assert got == want
-    assert grid.cells == ref_grid.cells
+    assert grid == ref_grid
+    assert rng.getstate() == ref_rng.getstate()
 
 
 class CountingRandom(random.Random):
@@ -139,40 +113,26 @@ def test_seeding_finds_a_lone_free_corner(corner):
     # must not stop before that corner, wherever it is.
     grid = FloorGrid(7, 6)
     x, z = corner
-    for tile in interior(grid):
-        if tile not in {(x, z), (x + 1, z), (x, z + 1), (x + 1, z + 1)}:
-            grid.put(*tile, INTERIOR_WALL)
-    ref_grid = grid.copy()
+    for t in interior(grid):
+        if t not in {(x, z), (x + 1, z), (x, z + 1), (x + 1, z + 1)}:
+            set_tile(grid, *t, INTERIOR_WALL)
+    ref_grid = copy_plan(grid)
     rooms = place_rooms(grid, 2, random.Random(7))
-    ref_rooms = reference_place_rooms(ref_grid, 2, random.Random(7), 100)
+    ref_rooms = reference.place_rooms(ref_grid, 2, random.Random(7), 100)
     assert [(room.id, room.anchor) for room in rooms] == [(0, corner)]
-    assert [(room.id, room.anchor) for room in ref_rooms] == [(0, corner)]
-    assert grid.cells == ref_grid.cells
+    assert ref_rooms == [(0, corner)]
+    assert grid == ref_grid
 
 
 def test_seeding_draws_nothing_on_a_floor_with_no_corner():
     grid = FloorGrid(6, 6)
     for x, z in interior(grid):
         if (x + z) % 2:
-            grid.put(x, z, INTERIOR_WALL)
+            set_tile(grid, x, z, INTERIOR_WALL)
     rng = CountingRandom(1)
     with pytest.raises(PlacementError):
         place_rooms(grid, 4, rng)
     assert rng.randints == 0
-
-
-def replayed_walls(width, depth, height, params, seed):
-    """init_wall for each side in FACADE_ORDER on a fresh rng, then every
-    wall stepped alone by the brute-force oracle."""
-    lengths = {"north": width, "south": width, "east": depth, "west": depth}
-    rng = random.Random(seed)
-    walls = {}
-    for side in FACADE_ORDER:
-        wall = init_wall(height, lengths[side], params, rng)
-        for _ in range(params.generations):
-            wall = wall_of(ca_oracle_step(wall, params.glass_sums))
-        walls[side] = wall
-    return walls
 
 
 GLASS_SUMS = [{0, 1, 4, 5}, {0}, {2, 3}, {1, 4}, {5}, set()]
@@ -189,7 +149,9 @@ def test_stacked_facades_match_walls_stepped_alone(width, depth,
         got = generate_facades(width, depth, height, params,
                                random.Random(seed))
         assert list(got) == list(FACADE_ORDER)
-        assert got == replayed_walls(width, depth, height, params, seed)
+        assert ({side: wall.rows() for side, wall in got.items()}
+                == reference.facades(FloorGrid(width, depth), height, params,
+                                     random.Random(seed)))
 
 
 @pytest.mark.parametrize("glass_sums", GLASS_SUMS)
@@ -197,22 +159,9 @@ def test_single_wall_matches_the_oracle(glass_sums):
     params = CaParams(init_glass_probability=0.45, generations=3,
                       glass_sums=glass_sums)
     for seed, (height, length) in enumerate(((4, 9), (1, 5), (7, 1))):
-        want = init_wall(height, length, params, random.Random(seed))
-        for _ in range(3):
-            want = wall_of(ca_oracle_step(want, glass_sums))
         got = generated_wall(height, length, params, random.Random(seed))
-        assert got == want
-
-
-def tile_column(tile, height):
-    """An interior column's blocks, bottom up, from its tile alone."""
-    if tile >= 0 or tile == EMPTY:
-        walls = [AIR] * height
-    elif tile == DOOR:
-        walls = [DOOR_OPENING] * 2 + [SOLID_WALL] * (height - 2)
-    else:
-        walls = [SOLID_WALL] * height
-    return [FLOOR_SLAB, *walls, ROOF_SLAB]
+        assert got.rows() == reference.wall(height, length, params,
+                                            random.Random(seed))
 
 
 @SETTINGS
@@ -224,10 +173,10 @@ def test_assembled_columns_follow_their_tiles(width, depth, seed, height):
     # No entrance tile: assemble carves the entrance's column apart.
     palette = [EMPTY, INTERIOR_WALL, EXTERIOR_WALL, DOOR, 0, 1, 7, 40]
     for x, z in interior(grid):
-        grid.put(x, z, rng.choice(palette))
+        set_tile(grid, x, z, rng.choice(palette))
     facades = generate_facades(width, depth, height, CaParams(), rng)
     model = assemble(grid, facades, height)
     assert len(model.voxels) == width * depth * (height + 2)
     for x, z in interior(grid):
-        column = [block_at(model, x, y, z) for y in range(height + 2)]
-        assert column == tile_column(grid.get(x, z), height)
+        blocks = [block_at(model, x, y, z) for y in range(height + 2)]
+        assert blocks == column(tile(grid, x, z), height)
